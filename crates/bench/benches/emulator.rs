@@ -7,6 +7,7 @@
 //! (the cache must change wall time only, never simulated results).
 
 use chimera_bench::harness::{bench, report_throughput};
+use chimera_emu::{run_binary, ExecMode, RunConfig};
 use chimera_isa::ExtSet;
 use chimera_obj::{assemble, AsmOptions};
 
@@ -27,9 +28,15 @@ fn main() {
         AsmOptions::default(),
     )
     .unwrap();
-    let cached = chimera_emu::run_binary_with(&bin, ExtSet::RV64GCV, u64::MAX / 2, true).unwrap();
-    let uncached =
-        chimera_emu::run_binary_with(&bin, ExtSet::RV64GCV, u64::MAX / 2, false).unwrap();
+    let run = |mode| {
+        let cfg = RunConfig {
+            mode,
+            ..RunConfig::on(ExtSet::RV64GCV)
+        };
+        run_binary(std::hint::black_box(&bin), u64::MAX / 2, cfg).unwrap()
+    };
+    let cached = run(ExecMode::Engine);
+    let uncached = run(ExecMode::Reference);
     assert_eq!(
         cached, uncached,
         "decode cache must not change architectural results or cycle accounting"
@@ -37,23 +44,11 @@ fn main() {
     let insts = cached.stats.instret;
 
     let t_on = bench("emulator/scalar_loop (cache on)", 50, 9, || {
-        chimera_emu::run_binary_with(
-            std::hint::black_box(&bin),
-            ExtSet::RV64GCV,
-            u64::MAX / 2,
-            true,
-        )
-        .unwrap()
+        run(ExecMode::Engine)
     });
     report_throughput("  -> dynamic insts/s", insts, t_on);
     let t_off = bench("emulator/scalar_loop (cache off)", 50, 9, || {
-        chimera_emu::run_binary_with(
-            std::hint::black_box(&bin),
-            ExtSet::RV64GCV,
-            u64::MAX / 2,
-            false,
-        )
-        .unwrap()
+        run(ExecMode::Reference)
     });
     report_throughput("  -> dynamic insts/s", insts, t_off);
     println!(
@@ -87,12 +82,17 @@ fn main() {
         AsmOptions::default(),
     )
     .unwrap();
-    let vinsts = chimera_emu::run_binary(&vbin, u64::MAX / 2)
+    let vinsts = run_binary(&vbin, u64::MAX / 2, RunConfig::default())
         .unwrap()
         .stats
         .instret;
     let tv = bench("emulator_vector/vector_loop", 50, 9, || {
-        chimera_emu::run_binary(std::hint::black_box(&vbin), u64::MAX / 2).unwrap()
+        run_binary(
+            std::hint::black_box(&vbin),
+            u64::MAX / 2,
+            RunConfig::default(),
+        )
+        .unwrap()
     });
     report_throughput("  -> dynamic insts/s", vinsts, tv);
 }

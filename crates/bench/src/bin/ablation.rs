@@ -3,13 +3,14 @@
 //! trap-based entry trampolines — each measured on a vector-dense
 //! SPEC-like program.
 
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::{Ext, ExtSet};
 use chimera_kernel::{Process, RuntimeTables, Variant};
 use chimera_rewrite::{chbp_rewrite, Mode, RewriteOptions};
 use chimera_workloads::speclike::{generate, GenOptions, SPEC_PROFILES};
 
 fn run(bin: &chimera_obj::Binary, opts: RewriteOptions) -> (f64, usize, usize) {
-    let native = chimera_emu::run_binary(bin, u64::MAX / 2).expect("native");
+    let native = run_binary(bin, u64::MAX / 2, RunConfig::default()).expect("native");
     let rw = chbp_rewrite(bin, ExtSet::RV64GCV, opts).expect("rewrite");
     let variant = Variant {
         binary: rw.binary,

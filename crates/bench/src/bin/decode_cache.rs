@@ -12,6 +12,7 @@
 //! (quiet hardware measures ~2.9x), and warns between 1.5x and 2x.
 
 use chimera_bench::harness::{bench, fmt_ns, report_throughput};
+use chimera_emu::{run_binary, ExecMode, RunConfig};
 use chimera_isa::ExtSet;
 use chimera_obj::{assemble, AsmOptions};
 
@@ -43,8 +44,15 @@ fn main() {
     let bin = assemble(&src, AsmOptions::default()).unwrap();
 
     let fuel = u64::MAX / 2;
-    let cached = chimera_emu::run_binary_with(&bin, ExtSet::RV64GCV, fuel, true).unwrap();
-    let uncached = chimera_emu::run_binary_with(&bin, ExtSet::RV64GCV, fuel, false).unwrap();
+    let run = |mode| {
+        let cfg = RunConfig {
+            mode,
+            ..RunConfig::on(ExtSet::RV64GCV)
+        };
+        run_binary(std::hint::black_box(&bin), fuel, cfg).unwrap()
+    };
+    let cached = run(ExecMode::Engine);
+    let uncached = run(ExecMode::Reference);
     assert_eq!(
         cached, uncached,
         "decode cache must not change results or cycle accounting"
@@ -56,13 +64,11 @@ fn main() {
 
     let insts = cached.stats.instret;
     let t_on = bench("decode_cache/straight_line (cache on)", 60, 9, || {
-        chimera_emu::run_binary_with(std::hint::black_box(&bin), ExtSet::RV64GCV, fuel, true)
-            .unwrap()
+        run(ExecMode::Engine)
     });
     report_throughput("  -> dynamic insts/s", insts, t_on);
     let t_off = bench("decode_cache/straight_line (cache off)", 60, 9, || {
-        chimera_emu::run_binary_with(std::hint::black_box(&bin), ExtSet::RV64GCV, fuel, false)
-            .unwrap()
+        run(ExecMode::Reference)
     });
     report_throughput("  -> dynamic insts/s", insts, t_off);
 

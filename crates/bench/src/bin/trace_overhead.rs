@@ -26,7 +26,7 @@
 
 use chimera::{measure_traced, Measurement};
 use chimera_bench::harness::fmt_ns;
-use chimera_emu::{RunError, RunResult};
+use chimera_emu::{run_binary, RunConfig, RunError, RunResult};
 use chimera_isa::ExtSet;
 use chimera_kernel::{KernelRunner, Process, ProcessPool, RunOutcome, RuntimeTables, Variant};
 use chimera_obj::{assemble, AsmOptions, Binary, DEFAULT_STACK_SIZE};
@@ -115,14 +115,10 @@ fn overhead_gate(bin: &Binary) {
 
     // Transparency: all three configurations must be bit-identical —
     // exit code, stdout, cycle accounting and final registers.
-    let baseline: RunResult =
-        chimera_emu::run_binary_with(bin, ExtSet::RV64GCV, fuel, true).unwrap();
-    let disabled =
-        chimera_emu::run_binary_traced(bin, ExtSet::RV64GCV, fuel, true, &Tracer::disabled())
-            .unwrap();
+    let baseline: RunResult = run_binary(bin, fuel, RunConfig::on(ExtSet::RV64GCV)).unwrap();
+    let disabled = timed_run(bin, fuel, &Tracer::disabled());
     let enabled_tracer = Tracer::enabled();
-    let enabled =
-        chimera_emu::run_binary_traced(bin, ExtSet::RV64GCV, fuel, true, &enabled_tracer).unwrap();
+    let enabled = timed_run(bin, fuel, &enabled_tracer);
     assert_eq!(baseline, disabled, "disabled tracer must be transparent");
     assert_eq!(baseline, enabled, "enabled tracer must be transparent");
     assert!(
@@ -147,15 +143,12 @@ fn overhead_gate(bin: &Binary) {
     // loop with different code layout, and the resulting alignment skew
     // (up to ~10% between identical-work call sites) would swamp the gate.
     #[inline(never)]
-    fn timed_run(bin: &Binary, fuel: u64, tracer: &Tracer) {
-        chimera_emu::run_binary_traced(
-            std::hint::black_box(bin),
-            ExtSet::RV64GCV,
-            fuel,
-            true,
-            std::hint::black_box(tracer),
-        )
-        .unwrap();
+    fn timed_run(bin: &Binary, fuel: u64, tracer: &Tracer) -> RunResult {
+        let cfg = RunConfig {
+            tracer: std::hint::black_box(tracer).clone(),
+            ..RunConfig::on(ExtSet::RV64GCV)
+        };
+        run_binary(std::hint::black_box(bin), fuel, cfg).unwrap()
     }
     // The enabled tracer is long-lived and its per-thread ring simply
     // wraps (overwriting a slot costs the same as filling it), matching a

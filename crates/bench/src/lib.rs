@@ -15,6 +15,7 @@ use chimera::{
     empty_patch_with, measure, measure_or_fam_probe, prepare_process, run_variant, FamResult,
     InputVersion, RewriterKind, SystemKind, TaskBinaries,
 };
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::ExtSet;
 use chimera_kernel::{simulate_work_stealing, Pool, SimMachine, TaskCost};
 use chimera_workloads::blas::{sliced_kernels, BlasKind};
@@ -182,7 +183,7 @@ pub fn fig13_row(profile: &BenchProfile, scale: Scale) -> Fig13Row {
             seed: 42,
         },
     );
-    let native = chimera_emu::run_binary(&bin, FUEL).expect("native run");
+    let native = run_binary(&bin, FUEL, RunConfig::default()).expect("native run");
     let base = native.stats.cycles as f64;
 
     let mut overhead = [0.0; 4];
@@ -318,15 +319,15 @@ pub fn fig14_kernel(
             let mut melf = Vec::new(); // (ext cost, base cost) per slice.
             let mut chim = Vec::new();
             for (v, s) in &slices {
-                let nv = chimera_emu::run_binary(v, FUEL).expect("vector native");
-                let ns = chimera_emu::run_binary(s, FUEL).expect("scalar native");
+                let nv = run_binary(v, FUEL, RunConfig::default()).expect("vector native");
+                let ns = run_binary(s, FUEL, RunConfig::default()).expect("scalar native");
                 assert_eq!(nv.exit_code, ns.exit_code, "{}", kind.name());
                 fam_ext.push(nv.stats.cycles);
                 fam_base.push(ns.stats.cycles);
             }
             for (v, s) in &fine {
-                let nv = chimera_emu::run_binary(v, FUEL).expect("vector native");
-                let ns = chimera_emu::run_binary(s, FUEL).expect("scalar native");
+                let nv = run_binary(v, FUEL, RunConfig::default()).expect("vector native");
+                let ns = run_binary(s, FUEL, RunConfig::default()).expect("scalar native");
                 let task = TaskBinaries {
                     base_version: Some(s.clone()),
                     ext_version: Some(v.clone()),

@@ -443,31 +443,14 @@ pub fn measure_or_fam_probe(
     profile: ExtSet,
     fuel: u64,
 ) -> Result<FamResult, MeasureError> {
-    let (mut cpu, mut mem, view) = match process.load(profile) {
-        Some(t) => t,
-        None => {
-            // No view at all for this profile: FAM faults on the first
-            // unsupported instruction of the preferred view. Model by
-            // loading the first view regardless and letting it trap.
-            let view = &process.views[0];
-            let mut mem = chimera_emu::Memory::load(&view.binary);
-            let mut cpu = chimera_emu::Cpu::new(profile);
-            cpu.hart.pc = view.binary.entry;
-            cpu.hart
-                .set_x(chimera_isa::XReg::SP, chimera_obj::STACK_TOP - 64);
-            cpu.hart.set_x(chimera_isa::XReg::GP, view.binary.gp);
-            let mut k = KernelRunner::new(view.tables.clone());
-            return Ok(match k.run(&mut cpu, &mut mem, fuel) {
-                RunOutcome::Exited(code) => {
-                    FamResult::Completed(Measurement::from_run(&cpu, code, k.counters))
-                }
-                RunOutcome::NeedsMigration { .. } => FamResult::Migrated {
-                    probe_cycles: cpu.stats.cycles,
-                },
-                other => return Err(MeasureError::Run(format!("{other:?}"))),
-            });
-        }
-    };
+    let (mut cpu, mut mem, view) = process.load(profile).unwrap_or_else(|| {
+        // No view at all for this profile: FAM faults on the first
+        // unsupported instruction of the preferred view. Model by booting
+        // the first view regardless and letting it trap.
+        let view = &process.views[0];
+        let (cpu, mem) = view.boot(profile);
+        (cpu, mem, view)
+    });
     let mut k = KernelRunner::new(view.tables.clone());
     match k.run(&mut cpu, &mut mem, fuel) {
         RunOutcome::Exited(code) => Ok(FamResult::Completed(Measurement::from_run(

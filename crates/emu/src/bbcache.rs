@@ -215,30 +215,12 @@ pub struct BlockCache {
     jump: Vec<Option<ChainLink>>,
     /// Counters; reset with [`BlockCache::reset_stats`].
     pub stats: CacheStats,
-    /// When false, the CPU bypasses the cache entirely (pure
-    /// fetch/decode/execute, the reference semantics).
-    pub enabled: bool,
 }
 
 impl BlockCache {
-    /// Creates an enabled, empty cache.
+    /// Creates an empty cache.
     pub fn new() -> BlockCache {
-        BlockCache {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            jump: Vec::new(),
-            stats: CacheStats::default(),
-            enabled: true,
-        }
-    }
-
-    /// Creates a disabled cache (reference interpreter semantics).
-    pub fn disabled() -> BlockCache {
-        BlockCache {
-            enabled: false,
-            ..BlockCache::new()
-        }
+        BlockCache::default()
     }
 
     /// Looks up a valid block for `(pc, profile)` given the current
@@ -514,12 +496,6 @@ mod tests {
         c.insert(0x1000, ExtSet::RV64GC, block(1));
         assert!(c.lookup(0x1000, ExtSet::RV64GCV, (0x1000, 1)).is_none());
         assert!(c.lookup(0x1000, ExtSet::RV64GC, (0x1000, 1)).is_some());
-    }
-
-    #[test]
-    fn disabled_cache_flag() {
-        assert!(!BlockCache::disabled().enabled);
-        assert!(BlockCache::new().enabled);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub enum Stop {
 /// Which front end executes instructions. All modes are bit-identical in
 /// results, traps, `ExecStats` (including cycles) and fuel accounting —
 /// they differ only in wall-clock speed. The differential suite asserts it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Pure per-instruction fetch/decode/execute — the reference semantics
     /// the other two modes must match bit for bit.
@@ -93,6 +93,7 @@ pub enum ExecMode {
     Interpreter,
     /// Micro-op execution engine: lowered block bodies, block-to-block
     /// chaining, per-core memory translation hints. The default.
+    #[default]
     Engine,
     /// Host-code JIT tier: hot block bodies template-compiled to x86-64
     /// and chained with patched direct jumps; cold blocks run through the
@@ -113,14 +114,10 @@ pub struct Cpu {
     pub cost: CostModel,
     /// Accumulated statistics.
     pub stats: ExecStats,
-    /// The basic-block decode cache (enabled by default; disable for the
-    /// reference fetch/decode/execute path).
+    /// The basic-block decode cache (bypassed in [`ExecMode::Reference`]).
     pub cache: BlockCache,
-    /// When true (the default) and the cache is enabled, cached blocks run
-    /// through the lowered micro-op engine with block chaining; when false
-    /// they replay through the per-instruction interpreter. See
-    /// [`ExecMode`] / [`Cpu::set_mode`].
-    pub engine: bool,
+    /// The execution front end; see [`Cpu::set_mode`].
+    mode: ExecMode,
     /// Per-access-kind last-region translation hints (micro-architectural
     /// state only: hints are revalidated on every use and never change
     /// results or faults).
@@ -163,20 +160,10 @@ impl Cpu {
             cost: CostModel::default(),
             stats: ExecStats::default(),
             cache: BlockCache::new(),
-            engine: true,
+            mode: ExecMode::Engine,
             hints: AccessHints::default(),
             jit: crate::jit::JitTier::new(),
             tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Creates a core with the decode cache disabled (pure per-instruction
-    /// fetch/decode/execute — the reference semantics the cached path must
-    /// match bit for bit).
-    pub fn new_uncached(profile: ExtSet) -> Self {
-        Cpu {
-            cache: BlockCache::disabled(),
-            ..Cpu::new(profile)
         }
     }
 
@@ -186,20 +173,13 @@ impl Cpu {
     /// counters and demotion hysteresis — so no promotion state carries
     /// across a mode switch (asserted by the tiering-policy tests).
     pub fn set_mode(&mut self, mode: ExecMode) {
-        self.cache.enabled = mode != ExecMode::Reference;
-        self.engine = matches!(mode, ExecMode::Engine | ExecMode::Jit);
-        self.jit.enabled = mode == ExecMode::Jit;
+        self.mode = mode;
         self.jit.reset();
     }
 
     /// The currently selected execution front end.
     pub fn mode(&self) -> ExecMode {
-        match (self.cache.enabled, self.engine) {
-            (false, _) => ExecMode::Reference,
-            (true, false) => ExecMode::Interpreter,
-            (true, true) if self.jit.enabled => ExecMode::Jit,
-            (true, true) => ExecMode::Engine,
-        }
+        self.mode
     }
 
     /// Overrides the JIT promotion threshold: dispatcher entries of a
@@ -241,7 +221,7 @@ impl Cpu {
     /// instruction per slice, is bit-identical to an unsliced run (the
     /// differential suite's yield-point transparency test gates this).
     pub fn run(&mut self, mem: &mut Memory, fuel: u64) -> Stop {
-        if !self.cache.enabled {
+        if self.mode == ExecMode::Reference {
             for _ in 0..fuel {
                 if let Err(t) = self.step(mem) {
                     self.trace_trap(&t);
@@ -252,12 +232,10 @@ impl Cpu {
         }
         let mut remaining = fuel;
         while remaining > 0 {
-            let stepped = if self.engine && self.jit.enabled {
-                self.step_jit(mem, remaining)
-            } else if self.engine {
-                self.step_engine(mem, remaining)
-            } else {
-                self.step_block(mem, remaining)
+            let stepped = match self.mode {
+                ExecMode::Jit => self.step_jit(mem, remaining),
+                ExecMode::Engine => self.step_engine(mem, remaining),
+                _ => self.step_block(mem, remaining),
             };
             match stepped {
                 Ok(retired) => remaining -= retired.min(remaining),

@@ -26,9 +26,6 @@
 
 use crate::cpu::{Cpu, Stop, Trap};
 use crate::mem::Memory;
-use crate::runner::boot;
-use chimera_isa::ExtSet;
-use chimera_obj::Binary;
 
 /// Why a fiber yielded back to its scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,29 +57,6 @@ impl HartFiber {
         HartFiber { hart_id, cpu, mem }
     }
 
-    /// Boots a binary on a fresh hart (see [`boot`]).
-    pub fn boot(hart_id: u64, binary: &Binary, profile: ExtSet) -> HartFiber {
-        let (cpu, mem) = boot(binary, profile);
-        HartFiber { hart_id, cpu, mem }
-    }
-
-    /// [`HartFiber::boot`] with an explicit guest stack size. Many-hart
-    /// schedulers pick small stacks here: the default 8 MiB is committed
-    /// eagerly per hart, and at N ≫ M scale the zeroed stack pages — not
-    /// the code or data — dominate the whole kernel's memory footprint.
-    /// The boot `sp` is unaffected (the stack always ends at the same
-    /// top), so results only change for guests that recurse deeper than
-    /// the chosen size.
-    pub fn boot_with_stack(
-        hart_id: u64,
-        binary: &Binary,
-        profile: ExtSet,
-        stack_bytes: u64,
-    ) -> HartFiber {
-        let (cpu, mem) = crate::runner::boot_with_stack(binary, profile, stack_bytes);
-        HartFiber { hart_id, cpu, mem }
-    }
-
     /// Runs at most `fuel` instructions, yielding at fuel exhaustion or
     /// the first trap. A zero budget yields immediately.
     pub fn resume(&mut self, fuel: u64) -> FiberYield {
@@ -108,9 +82,14 @@ impl HartFiber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_binary;
+    use crate::runner::{boot, run_binary, RunConfig};
     use chimera_isa::XReg;
-    use chimera_obj::{assemble, AsmOptions};
+    use chimera_obj::{assemble, AsmOptions, Binary};
+
+    fn boot_fiber(hart_id: u64, bin: &Binary) -> HartFiber {
+        let (cpu, mem) = boot(bin, bin.profile);
+        HartFiber::new(hart_id, cpu, mem)
+    }
 
     fn counting_binary(n: u64) -> Binary {
         assemble(
@@ -135,9 +114,9 @@ mod tests {
     #[test]
     fn fiber_slices_match_one_shot_run() {
         let bin = counting_binary(500);
-        let oneshot = run_binary(&bin, 1 << 20).expect("one-shot run");
+        let oneshot = run_binary(&bin, 1 << 20, RunConfig::default()).expect("one-shot run");
 
-        let mut fiber = HartFiber::boot(7, &bin, bin.profile);
+        let mut fiber = boot_fiber(7, &bin);
         let mut yields = 0u64;
         let trap = loop {
             match fiber.resume(17) {
@@ -155,7 +134,7 @@ mod tests {
     #[test]
     fn fiber_resumes_across_host_threads() {
         let bin = counting_binary(300);
-        let mut fiber = HartFiber::boot(0, &bin, bin.profile);
+        let mut fiber = boot_fiber(0, &bin);
         // Hop the fiber to a fresh OS thread for every slice.
         let trap = loop {
             let (f, y) = std::thread::spawn(move || {
@@ -173,14 +152,14 @@ mod tests {
         };
         assert!(matches!(trap, Trap::Ecall { .. }));
         assert_eq!(fiber.cpu.hart.get_x(XReg::A0), 300);
-        let reference = run_binary(&bin, 1 << 20).expect("reference run");
+        let reference = run_binary(&bin, 1 << 20, RunConfig::default()).expect("reference run");
         assert_eq!(fiber.cpu.stats, reference.stats);
     }
 
     #[test]
     fn zero_fuel_resume_is_inert() {
         let bin = counting_binary(5);
-        let mut fiber = HartFiber::boot(1, &bin, bin.profile);
+        let mut fiber = boot_fiber(1, &bin);
         let before = fiber.state_hash();
         assert_eq!(fiber.resume(0), FiberYield::FuelExhausted);
         assert_eq!(fiber.retired(), 0);

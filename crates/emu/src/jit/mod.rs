@@ -581,9 +581,6 @@ struct Trace {
 /// hysteresis).
 #[derive(Debug)]
 pub(crate) struct JitTier {
-    /// Whether `ExecMode::Jit` is selected. Even when set, the tier stays
-    /// inert if the host cannot map executable pages.
-    pub(crate) enabled: bool,
     arena: Option<Arena>,
     /// The host refused an executable mapping once; never retried.
     broken: bool,
@@ -620,7 +617,6 @@ impl Clone for JitTier {
     /// starts re-warming.
     fn clone(&self) -> Self {
         JitTier {
-            enabled: self.enabled,
             threshold: self.threshold,
             ..JitTier::new()
         }
@@ -628,10 +624,9 @@ impl Clone for JitTier {
 }
 
 impl JitTier {
-    /// An empty, disabled tier.
+    /// An empty tier.
     pub(crate) fn new() -> Self {
         JitTier {
-            enabled: false,
             arena: None,
             broken: false,
             traces: Vec::new(),
@@ -810,7 +805,7 @@ pub(crate) fn try_enter(
     block: &Arc<Block>,
     pc: u64,
 ) -> Option<Result<u64, Trap>> {
-    if !cpu.jit.enabled || !cpu.jit.ensure_arena() {
+    if !cpu.jit.ensure_arena() {
         return None;
     }
     let gen = mem.code_generation();

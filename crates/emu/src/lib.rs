@@ -62,10 +62,9 @@ pub use fiber::{FiberYield, HartFiber};
 pub use hart::{Hart, VLENB};
 pub use jit::jit_available;
 pub use mem::{Access, AccessHints, DirtySpan, MasterImage, MemFault, Memory, Region, RegionHint};
-pub use pool::{boot_pooled, MemoryPool, PoolStats};
+pub use pool::{MemoryPool, PoolStats};
 pub use runner::{
-    boot, boot_with_stack, run_binary, run_binary_mode, run_binary_on, run_binary_traced,
-    run_binary_with, run_cpu, sys, BareRun, BareYield, RunError, RunResult,
+    boot, boot_cpu, run_binary, run_cpu, sys, BareRun, BareYield, RunConfig, RunError, RunResult,
 };
 // Re-exported so emulator users can construct tracers without a separate
 // chimera-trace dependency line.
@@ -94,7 +93,9 @@ mod tests {
 
     fn exit_code(src: &str) -> i64 {
         let bin = asm(src);
-        run_binary(&bin, 1_000_000).expect("runs").exit_code
+        run_binary(&bin, 1_000_000, RunConfig::default())
+            .expect("runs")
+            .exit_code
     }
 
     #[test]
@@ -195,7 +196,7 @@ mod tests {
                 li a0, 0
                 ecall
             ");
-        let r = run_binary(&bin, 10_000).unwrap();
+        let r = run_binary(&bin, 10_000, RunConfig::default()).unwrap();
         assert_eq!(r.stdout, b"hi");
     }
 
@@ -314,7 +315,7 @@ mod tests {
                 li a7, 93
                 ecall
             ");
-        let err = run_binary_on(&bin, ExtSet::RV64GC, 1000).unwrap_err();
+        let err = run_binary(&bin, 1000, RunConfig::on(ExtSet::RV64GC)).unwrap_err();
         match err {
             RunError::Trap(Trap::Illegal { pc, .. }) => {
                 // li t0, 4 is a single addi: the vsetvli is at entry + 4.
@@ -331,7 +332,7 @@ mod tests {
             _start:
                 jr gp
             ");
-        let err = run_binary(&bin, 100).unwrap_err();
+        let err = run_binary(&bin, 100, RunConfig::default()).unwrap_err();
         match err {
             RunError::Trap(Trap::Mem { fault, .. }) => {
                 assert_eq!(fault.access, Access::Fetch);
@@ -369,13 +370,17 @@ mod tests {
         let bin = asm_compressed(src);
         // Has 2-byte instructions.
         assert!(bin.section(".text").unwrap().data.len() < 20);
-        let r = run_binary(&bin, 1000).unwrap();
+        let r = run_binary(&bin, 1000, RunConfig::default()).unwrap();
         assert_eq!(r.exit_code, 42);
 
         // A core without the C extension rejects the first compressed
         // instruction.
-        let err =
-            run_binary_on(&bin, ExtSet::RV64GC.without(chimera_isa::Ext::C), 1000).unwrap_err();
+        let err = run_binary(
+            &bin,
+            1000,
+            RunConfig::on(ExtSet::RV64GC.without(chimera_isa::Ext::C)),
+        )
+        .unwrap_err();
         assert!(matches!(err, RunError::Trap(Trap::Illegal { .. })));
     }
 
@@ -394,7 +399,7 @@ mod tests {
                 ret
             ",
         );
-        let r = run_binary(&bin, 1000).unwrap();
+        let r = run_binary(&bin, 1000, RunConfig::default()).unwrap();
         // ra must point at the instruction after the c.jalr: entry + 8 + 2.
         assert_eq!(r.exit_code as u64, bin.entry + 10);
     }
@@ -414,7 +419,7 @@ mod tests {
             ret_target:
                 ret
             ");
-        let r = run_binary(&bin, 1000).unwrap();
+        let r = run_binary(&bin, 1000, RunConfig::default()).unwrap();
         assert_eq!(r.stats.branches, 3);
         // jalr t1 + ret = 2 indirect jumps.
         assert_eq!(r.stats.indirect_jumps, 2);
@@ -470,7 +475,10 @@ mod tests {
             spin:
                 j spin
             ");
-        assert!(matches!(run_binary(&bin, 1000), Err(RunError::OutOfFuel)));
+        assert!(matches!(
+            run_binary(&bin, 1000, RunConfig::default()),
+            Err(RunError::OutOfFuel)
+        ));
     }
 
     #[test]
@@ -481,7 +489,7 @@ mod tests {
                 li a7, 93
                 ecall
             ");
-        let r = run_binary(&bin, 100).unwrap();
+        let r = run_binary(&bin, 100, RunConfig::default()).unwrap();
         assert_eq!(r.exit_code as u64, bin.gp);
         let data = bin.section(".data").unwrap();
         assert!(data.contains(bin.gp));

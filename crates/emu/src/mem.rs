@@ -216,12 +216,11 @@ pub struct AccessHints {
 /// [`Memory::instantiate_from`] shares every clean region with the master
 /// (copy-on-write) instead of copying — instantiation cost is O(regions),
 /// not O(bytes) — and slot recycling restores only the spans a run
-/// actually dirtied.
-#[derive(Debug)]
+/// actually dirtied. The loader that builds it decides the layout
+/// (`chimera_kernel` maps a variant's sections, stack and `[lazy]` slack).
+#[derive(Debug, Default)]
 pub struct MasterImage {
     regions: Vec<MasterRegion>,
-    entry: u64,
-    gp: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -233,30 +232,13 @@ struct MasterRegion {
 }
 
 impl MasterImage {
-    /// Builds a master image from a binary: every section becomes a
-    /// region, plus a zeroed stack of `stack_size` bytes ending at
-    /// [`STACK_TOP`] (mirroring [`Memory::load_with_stack`]).
-    pub fn new(binary: &Binary, stack_size: u64) -> MasterImage {
-        assert!(stack_size > 0, "stack must be at least one byte");
-        let mut img = MasterImage {
-            regions: Vec::with_capacity(binary.sections.len() + 1),
-            entry: binary.entry,
-            gp: binary.gp,
-        };
-        for s in &binary.sections {
-            img.push_region(s.addr, s.data.clone(), s.perms, &s.name);
-        }
-        img.push_region(
-            STACK_TOP - stack_size,
-            vec![0; stack_size as usize],
-            Perms::RW,
-            "[stack]",
-        );
-        img
+    /// An empty template; add regions with [`MasterImage::push_region`].
+    pub fn new() -> MasterImage {
+        MasterImage::default()
     }
 
-    /// Adds an extra region to the template (e.g. the kernel's `[lazy]`
-    /// rewrite slack). Panics on overlap, like [`Memory::map_bytes`].
+    /// Adds a region to the template. Panics on overlap, like
+    /// [`Memory::map_bytes`].
     pub fn push_region(&mut self, start: u64, bytes: Vec<u8>, perms: Perms, name: &str) {
         let end = start + bytes.len() as u64;
         for r in &self.regions {
@@ -274,21 +256,6 @@ impl MasterImage {
             name: name.to_string(),
         });
         self.regions.sort_by_key(|r| r.start);
-    }
-
-    /// The entry point instantiated CPUs boot at.
-    pub fn entry(&self) -> u64 {
-        self.entry
-    }
-
-    /// The global-pointer value for the psABI environment.
-    pub fn gp(&self) -> u64 {
-        self.gp
-    }
-
-    /// Number of template regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
     }
 
     /// Total mapped bytes across all template regions.
@@ -371,26 +338,22 @@ impl Memory {
     }
 
     /// Builds memory from a binary: every section becomes a region, plus a
-    /// stack region under [`STACK_TOP`] ([`DEFAULT_STACK_SIZE`] bytes; use
-    /// [`Memory::load_with_stack`] for workloads needing deeper stacks).
-    pub fn load(binary: &Binary) -> Memory {
-        Memory::load_with_stack(binary, DEFAULT_STACK_SIZE)
-    }
-
-    /// [`Memory::load`] with an explicit stack size. The stack always ends
-    /// at [`STACK_TOP`], so the boot `sp` is identical whatever the size;
-    /// only the lowest mapped stack address moves. Stacks are committed
-    /// eagerly, which at hundreds of guests dominates the runtime's entire
-    /// footprint (256 harts × 8 MiB = 2 GiB of zeroed, re-faulted pages) —
-    /// hence the small [`DEFAULT_STACK_SIZE`] everywhere and
+    /// [`DEFAULT_STACK_SIZE`] stack ending at [`STACK_TOP`]. Stacks are
+    /// committed eagerly, which at hundreds of guests dominates the
+    /// runtime's entire footprint (256 harts × 8 MiB = 2 GiB of zeroed,
+    /// re-faulted pages) — hence the small default and
     /// [`Memory::instantiate_from`] for pooled spawns.
-    pub fn load_with_stack(binary: &Binary, stack_size: u64) -> Memory {
-        assert!(stack_size > 0, "stack must be at least one byte");
+    pub fn load(binary: &Binary) -> Memory {
         let mut m = Memory::new();
         for s in &binary.sections {
             m.map_bytes(s.addr, s.data.clone(), s.perms, &s.name);
         }
-        m.map(STACK_TOP - stack_size, stack_size, Perms::RW, "[stack]");
+        m.map(
+            STACK_TOP - DEFAULT_STACK_SIZE,
+            DEFAULT_STACK_SIZE,
+            Perms::RW,
+            "[stack]",
+        );
         m
     }
 
@@ -758,7 +721,9 @@ impl Memory {
         let idx = self.region_idx(addr)?;
         let r = &self.regions[idx];
         let off = (addr - r.start) as usize;
-        r.bytes().get(off..off + len).map(<[u8]>::to_vec)
+        r.bytes()
+            .get(off..off.checked_add(len)?)
+            .map(<[u8]>::to_vec)
     }
 
     /// Writes code bytes regardless of permissions and bumps the code
@@ -1236,10 +1201,20 @@ mod tests {
         }
     }
 
+    /// `bin`'s sections plus a 4 KiB stack, as a pooled master.
+    fn master_of(bin: &Binary) -> Arc<MasterImage> {
+        let mut master = MasterImage::new();
+        for s in &bin.sections {
+            master.push_region(s.addr, s.data.clone(), s.perms, &s.name);
+        }
+        master.push_region(STACK_TOP - 0x1000, vec![0; 0x1000], Perms::RW, "[stack]");
+        Arc::new(master)
+    }
+
     #[test]
     fn instantiate_shares_then_writes_privatize() {
         let bin = small_binary();
-        let master = Arc::new(MasterImage::new(&bin, 0x1000));
+        let master = master_of(&bin);
         let mut m = Memory::instantiate_from(&master);
         // Clean instantiation owns nothing: all regions are shared views.
         assert_eq!(m.resident_bytes(), 0);
@@ -1263,7 +1238,7 @@ mod tests {
     #[test]
     fn recycle_restores_only_dirtied_spans() {
         let bin = small_binary();
-        let master = Arc::new(MasterImage::new(&bin, 0x1000));
+        let master = master_of(&bin);
         let mut m = Memory::instantiate_from(&master);
         m.write_u64(STACK_TOP - 8, 42).unwrap();
         m.write(0x2_0010, &[9; 8]).unwrap();
@@ -1281,7 +1256,7 @@ mod tests {
     #[test]
     fn recycle_draws_fresh_generations_for_poked_code() {
         let bin = small_binary();
-        let master = Arc::new(MasterImage::new(&bin, 0x1000));
+        let master = master_of(&bin);
         let mut m = Memory::instantiate_from(&master);
         let fp0 = m.code_fingerprint(bin.entry).unwrap();
         let g0 = m.code_generation();
@@ -1309,7 +1284,7 @@ mod tests {
     #[test]
     fn recycle_refuses_layout_divergence() {
         let bin = small_binary();
-        let master = Arc::new(MasterImage::new(&bin, 0x1000));
+        let master = master_of(&bin);
         // Unmapping a region makes the slot non-recyclable.
         let mut m = Memory::instantiate_from(&master);
         assert!(m.unmap(".data"));
@@ -1328,9 +1303,13 @@ mod tests {
         // Same program bytes through both construction paths: every
         // accessor agrees, including faults.
         let bin = small_binary();
-        let master = Arc::new(MasterImage::new(&bin, 0x1000));
+        let master = master_of(&bin);
         let mut pooled = Memory::instantiate_from(&master);
-        let mut eager = Memory::load_with_stack(&bin, 0x1000);
+        let mut eager = Memory::new();
+        for s in &bin.sections {
+            eager.map_bytes(s.addr, s.data.clone(), s.perms, &s.name);
+        }
+        eager.map(STACK_TOP - 0x1000, 0x1000, Perms::RW, "[stack]");
         for addr in [bin.entry, 0x2_0000, 0x2_00ff, STACK_TOP - 8] {
             assert_eq!(pooled.peek(addr, 1), eager.peek(addr, 1), "{addr:#x}");
         }

@@ -10,10 +10,7 @@
 //! is proportional to *dirt*, never to image size, which is what makes
 //! churn-heavy many-guest scenarios (the `process_churn` gate) viable.
 
-use crate::cpu::Cpu;
 use crate::mem::{MasterImage, Memory};
-use chimera_isa::{ExtSet, XReg};
-use chimera_obj::STACK_TOP;
 use std::sync::Arc;
 
 /// Lifetime counters of a [`MemoryPool`] (all monotonic).
@@ -58,11 +55,6 @@ impl MemoryPool {
             self.free.push(Memory::instantiate_from(&self.master));
             self.stats.instantiated += 1;
         }
-    }
-
-    /// The shared master image.
-    pub fn master(&self) -> &Arc<MasterImage> {
-        &self.master
     }
 
     /// Slots currently on the free list.
@@ -115,15 +107,4 @@ impl MemoryPool {
             }
         }
     }
-}
-
-/// Boots a CPU on a pooled memory slot: acquires a slot and sets pc/sp/gp
-/// from the master image, mirroring [`crate::boot`] for eager loads.
-pub fn boot_pooled(pool: &mut MemoryPool, profile: ExtSet) -> (Cpu, Memory) {
-    let mem = pool.acquire();
-    let mut cpu = Cpu::new(profile);
-    cpu.hart.pc = pool.master().entry();
-    cpu.hart.set_x(XReg::SP, STACK_TOP - 64);
-    cpu.hart.set_x(XReg::GP, pool.master().gp());
-    (cpu, mem)
 }

@@ -16,6 +16,10 @@ use chimera_trace::Tracer;
 /// Syscall numbers (Linux RV64 numbers for familiarity), plus the
 /// Chimera hart-control calls.
 pub mod sys {
+    use crate::cpu::Cpu;
+    use crate::mem::Memory;
+    use chimera_isa::XReg;
+
     /// `exit(code)`.
     pub const EXIT: u64 = 93;
     /// `write(fd, buf, len)`.
@@ -36,6 +40,22 @@ pub mod sys {
     /// `set_timer(delta)`: arm a one-shot timer `a0` scheduler slots
     /// ahead of the current logical time.
     pub const SET_TIMER: u64 = 0x7a03;
+
+    /// Services `write(fd, buf, len)` for the bare runner and the kernel
+    /// alike: appends the guest buffer to `out` and returns `len` in `a0`,
+    /// or `-EFAULT` (`u64::MAX`) when the buffer is not mapped. Leaves
+    /// `pc` at the `ecall`.
+    pub fn write(cpu: &mut Cpu, mem: &mut Memory, out: &mut Vec<u8>) {
+        let len = cpu.hart.get_x(XReg::A2);
+        let ret = match mem.peek(cpu.hart.get_x(XReg::A1), len as usize) {
+            Some(bytes) => {
+                out.extend_from_slice(&bytes);
+                len
+            }
+            None => u64::MAX,
+        };
+        cpu.hart.set_x(XReg::A0, ret);
+    }
 }
 
 /// The outcome of a completed bare run.
@@ -78,87 +98,59 @@ impl core::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Prepares a CPU + memory pair for a binary: maps sections and the stack
-/// ([`chimera_obj::DEFAULT_STACK_SIZE`] — 256 KiB, committed eagerly; use
-/// [`boot_with_stack`] for deep-recursing workloads), sets pc/sp/gp.
-pub fn boot(binary: &Binary, profile: ExtSet) -> (Cpu, Memory) {
-    boot_with_stack(binary, profile, chimera_obj::DEFAULT_STACK_SIZE)
-}
-
-/// [`boot`] with an explicit stack size (see
-/// [`Memory::load_with_stack`]); the boot `sp` is unchanged because the
-/// stack always ends at [`STACK_TOP`].
-pub fn boot_with_stack(binary: &Binary, profile: ExtSet, stack_size: u64) -> (Cpu, Memory) {
-    let mem = Memory::load_with_stack(binary, stack_size);
+/// A fresh core in the psABI boot state: `pc = entry`, `sp` just under
+/// [`STACK_TOP`] (the stack always ends there, whatever its size), and
+/// `gp` pointing into the data segment. Every boot path — eager, pooled,
+/// kernel-loaded — starts its hart here.
+pub fn boot_cpu(profile: ExtSet, entry: u64, gp: u64) -> Cpu {
     let mut cpu = Cpu::new(profile);
-    cpu.hart.pc = binary.entry;
+    cpu.hart.pc = entry;
     cpu.hart.set_x(XReg::SP, STACK_TOP - 64);
-    cpu.hart.set_x(XReg::GP, binary.gp);
-    (cpu, mem)
+    cpu.hart.set_x(XReg::GP, gp);
+    cpu
 }
 
-/// Runs a binary to `exit` on a core whose profile matches the binary's,
-/// with a fuel budget.
-pub fn run_binary(binary: &Binary, fuel: u64) -> Result<RunResult, RunError> {
-    run_binary_on(binary, binary.profile, fuel)
+/// Prepares a CPU + memory pair for a binary: maps sections and the stack
+/// ([`chimera_obj::DEFAULT_STACK_SIZE`], committed eagerly) and boots the
+/// CPU at the entry point (see [`boot_cpu`]).
+pub fn boot(binary: &Binary, profile: ExtSet) -> (Cpu, Memory) {
+    (
+        boot_cpu(profile, binary.entry, binary.gp),
+        Memory::load(binary),
+    )
 }
 
-/// Runs a binary to `exit` on a core with an explicit profile (which may
-/// lack extensions the binary uses — then the run errs with an illegal
-/// instruction trap, as FAM would).
-pub fn run_binary_on(binary: &Binary, profile: ExtSet, fuel: u64) -> Result<RunResult, RunError> {
-    run_binary_with(binary, profile, fuel, true)
+/// How [`run_binary`] runs a binary. The default runs it on its own
+/// profile in the [`ExecMode::Engine`] tier, untraced.
+#[derive(Debug, Clone, Default)]
+pub struct RunConfig {
+    /// The core's profile; `None` means the binary's own. A profile that
+    /// lacks extensions the binary uses makes the run err with an
+    /// illegal-instruction trap, as FAM would.
+    pub profile: Option<ExtSet>,
+    /// The execution front end. All modes are bit-identical in results;
+    /// they differ only in wall-clock speed.
+    pub mode: ExecMode,
+    /// A trace handle attached to the CPU. Tracing is transparent: results
+    /// are bit-identical to the untraced run.
+    pub tracer: Tracer,
 }
 
-/// Like [`run_binary_on`], with explicit control over the basic-block
-/// decode cache. `decode_cache: true` runs the default front end (the
-/// micro-op engine); `false` runs the reference per-instruction
-/// interpreter. Results (including cycle accounting) are identical either
-/// way — the differential suite asserts it. For the full three-way mode
-/// choice use [`run_binary_mode`].
-pub fn run_binary_with(
-    binary: &Binary,
-    profile: ExtSet,
-    fuel: u64,
-    decode_cache: bool,
-) -> Result<RunResult, RunError> {
-    let mode = if decode_cache {
-        ExecMode::Engine
-    } else {
-        ExecMode::Reference
-    };
-    run_binary_mode(binary, profile, fuel, mode)
+impl RunConfig {
+    /// The default configuration on a core with `profile`.
+    pub fn on(profile: ExtSet) -> RunConfig {
+        RunConfig {
+            profile: Some(profile),
+            ..RunConfig::default()
+        }
+    }
 }
 
-/// Like [`run_binary_on`], with an explicit execution front end (see
-/// [`ExecMode`]). All modes are bit-identical in results; they differ only
-/// in wall-clock speed (`exec_engine` in `chimera-bench` gates the ratio).
-pub fn run_binary_mode(
-    binary: &Binary,
-    profile: ExtSet,
-    fuel: u64,
-    mode: ExecMode,
-) -> Result<RunResult, RunError> {
-    let (mut cpu, mut mem) = boot(binary, profile);
-    cpu.set_mode(mode);
-    run_cpu(&mut cpu, &mut mem, fuel)
-}
-
-/// Like [`run_binary_with`], with a [`Tracer`] handle attached to the CPU.
-///
-/// Tracing is transparent: results (exit code, stdout, stats, registers)
-/// are bit-identical to the untraced run — `trace_overhead` and the
-/// differential suite assert it.
-pub fn run_binary_traced(
-    binary: &Binary,
-    profile: ExtSet,
-    fuel: u64,
-    decode_cache: bool,
-    tracer: &Tracer,
-) -> Result<RunResult, RunError> {
-    let (mut cpu, mut mem) = boot(binary, profile);
-    cpu.cache.enabled = decode_cache;
-    cpu.tracer = tracer.clone();
+/// Runs a binary to `exit` with a fuel budget, as configured by `cfg`.
+pub fn run_binary(binary: &Binary, fuel: u64, cfg: RunConfig) -> Result<RunResult, RunError> {
+    let (mut cpu, mut mem) = boot(binary, cfg.profile.unwrap_or(binary.profile));
+    cpu.set_mode(cfg.mode);
+    cpu.tracer = cfg.tracer;
     run_cpu(&mut cpu, &mut mem, fuel)
 }
 
@@ -237,14 +229,7 @@ impl BareRun {
                             }));
                         }
                         sys::WRITE => {
-                            let buf = cpu.hart.get_x(XReg::A1);
-                            let len = cpu.hart.get_x(XReg::A2) as usize;
-                            if let Some(bytes) = mem.peek(buf, len) {
-                                self.stdout.extend_from_slice(&bytes);
-                                cpu.hart.set_x(XReg::A0, len as u64);
-                            } else {
-                                cpu.hart.set_x(XReg::A0, u64::MAX); // -EFAULT-ish
-                            }
+                            sys::write(cpu, mem, &mut self.stdout);
                             cpu.hart.pc = pc + 4;
                         }
                         _ => return BareYield::Failed(RunError::BadSyscall { number }),

@@ -1,13 +1,15 @@
 //! Detailed ISA semantics: edge cases of the RV64 model that the rewriter
 //! and translation templates depend on.
 
-use chimera_emu::{run_binary, run_binary_on};
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::ExtSet;
 use chimera_obj::{assemble, AsmOptions};
 
 fn exit_of(src: &str) -> i64 {
     let bin = assemble(src, AsmOptions::default()).expect("assembles");
-    run_binary(&bin, 10_000_000).expect("runs").exit_code
+    run_binary(&bin, 10_000_000, RunConfig::default())
+        .expect("runs")
+        .exit_code
 }
 
 #[test]
@@ -291,7 +293,12 @@ fn c_extension_gating_is_encoding_level() {
     ";
     let no_c = ExtSet::RV64GC.without(chimera_isa::Ext::C);
     let fat = assemble(src, AsmOptions::default()).unwrap();
-    assert_eq!(run_binary_on(&fat, no_c, 1000).unwrap().exit_code, 42);
+    assert_eq!(
+        run_binary(&fat, 1000, RunConfig::on(no_c))
+            .unwrap()
+            .exit_code,
+        42
+    );
     let slim = assemble(
         src,
         AsmOptions {
@@ -300,7 +307,7 @@ fn c_extension_gating_is_encoding_level() {
         },
     )
     .unwrap();
-    assert!(run_binary_on(&slim, no_c, 1000).is_err());
+    assert!(run_binary(&slim, 1000, RunConfig::on(no_c)).is_err());
 }
 
 #[test]
@@ -352,8 +359,7 @@ fn megamorphic_jalr_stays_transparent_under_jump_cache_eviction() {
 
     let expected: i64 = ((0..TARGETS).map(|i| i % 7 + 1).sum::<usize>() & 255) as i64;
     let fuel = 10_000_000;
-    let (reference, ref_stats) =
-        observe_mode(&bin, ExtSet::RV64GC, ExecMode::Reference, false, fuel);
+    let (reference, ref_stats) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Reference, fuel);
     assert_eq!(
         reference
             .result
@@ -367,8 +373,8 @@ fn megamorphic_jalr_stays_transparent_under_jump_cache_eviction() {
         (0, 0, 0)
     );
 
-    let (interp, is) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Interpreter, true, fuel);
-    let (engine, es) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Engine, true, fuel);
+    let (interp, is) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Interpreter, fuel);
+    let (engine, es) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Engine, fuel);
     assert_eq!(interp, reference, "cached interpreter transparent");
     assert_eq!(engine, reference, "micro-op engine transparent");
 

@@ -8,7 +8,7 @@
 //! cached run must remain bit-identical to the uncached reference
 //! interpreter.
 
-use chimera_emu::{Cpu, Memory, Stop, Trap};
+use chimera_emu::{Cpu, ExecMode, Memory, Stop, Trap};
 use chimera_isa::{encode, BranchKind, ExtSet, Inst, OpImmKind, StoreKind, XReg};
 use chimera_obj::Perms;
 
@@ -29,6 +29,13 @@ fn words(insts: &[Inst]) -> Vec<u8> {
         bytes.extend_from_slice(&encode(i).unwrap().to_le_bytes());
     }
     bytes
+}
+
+/// An RV64GC core running in `mode`.
+fn cpu_in(mode: ExecMode) -> Cpu {
+    let mut cpu = Cpu::new(ExtSet::RV64GC);
+    cpu.set_mode(mode);
+    cpu
 }
 
 /// Runs from `BASE` until the program's `ecall`, returning `a0`.
@@ -95,12 +102,8 @@ fn in_block_store_executes_new_code() {
     let new_inst = encode(&addi(XReg::A0, XReg::A0, 100)).unwrap();
 
     let mut results = Vec::new();
-    for cached in [true, false] {
-        let mut cpu = if cached {
-            Cpu::new(ExtSet::RV64GC)
-        } else {
-            Cpu::new_uncached(ExtSet::RV64GC)
-        };
+    for mode in [ExecMode::Engine, ExecMode::Reference] {
+        let mut cpu = cpu_in(mode);
         let mut mem = Memory::new();
         mem.map_bytes(BASE, prog.clone(), Perms::RWX, ".jit");
         cpu.hart.set_x(XReg::T0, BASE);
@@ -108,7 +111,7 @@ fn in_block_store_executes_new_code() {
         assert_eq!(
             run_to_ecall(&mut cpu, &mut mem),
             101,
-            "cached={cached}: the overwritten instruction must execute"
+            "{mode:?}: the overwritten instruction must execute"
         );
         results.push((cpu.hart.xregs(), cpu.stats));
     }
@@ -183,7 +186,7 @@ fn loop_is_hit_dominated_and_cycle_identical() {
     );
     assert_eq!(s.invalidations, 0, "nothing was modified: {s:?}");
 
-    let mut reference = Cpu::new_uncached(ExtSet::RV64GC);
+    let mut reference = cpu_in(ExecMode::Reference);
     let mut mem2 = Memory::new();
     mem2.map_bytes(BASE, prog, Perms::RX, ".text");
     assert_eq!(run_to_ecall(&mut reference, &mut mem2), 200);
@@ -214,17 +217,13 @@ fn straddling_instruction_across_regions_is_never_stale() {
     hi_region.extend_from_slice(&words(&[Inst::Ecall]));
     let hi_start = BASE + lo_region.len() as u64;
 
-    for cached in [true, false] {
-        let mut cpu = if cached {
-            Cpu::new(ExtSet::RV64GC)
-        } else {
-            Cpu::new_uncached(ExtSet::RV64GC)
-        };
+    for mode in [ExecMode::Engine, ExecMode::Reference] {
+        let mut cpu = cpu_in(mode);
         let mut mem = Memory::new();
         mem.map_bytes(BASE, lo_region.clone(), Perms::RX, ".text.lo");
         mem.map_bytes(hi_start, hi_region.clone(), Perms::RX, ".text.hi");
 
-        assert_eq!(run_to_ecall(&mut cpu, &mut mem), 8, "cached={cached}");
+        assert_eq!(run_to_ecall(&mut cpu, &mut mem), 8, "{mode:?}");
         // Patch only the upper region: its generation moves, the lower
         // region's does not. A block that cached the straddler under the
         // lower region's fingerprint would dodge this invalidation.
@@ -234,7 +233,7 @@ fn straddling_instruction_across_regions_is_never_stale() {
         assert_eq!(
             run_to_ecall(&mut cpu, &mut mem),
             107,
-            "cached={cached}: stale straddling decode executed"
+            "{mode:?}: stale straddling decode executed"
         );
     }
 }
@@ -505,14 +504,12 @@ fn straddling_instruction_demotes_from_jit() {
 
     let mut results = Vec::new();
     for jit in [true, false] {
-        let mut cpu = if jit {
-            let mut c = Cpu::new(ExtSet::RV64GC);
-            c.set_mode(chimera_emu::ExecMode::Jit);
-            c.set_jit_threshold(1);
-            c
+        let mut cpu = cpu_in(if jit {
+            ExecMode::Jit
         } else {
-            Cpu::new_uncached(ExtSet::RV64GC)
-        };
+            ExecMode::Reference
+        });
+        cpu.set_jit_threshold(1);
         let mut mem = Memory::new();
         mem.map_bytes(BASE, lo_region.clone(), Perms::RX, ".text.lo");
         mem.map_bytes(hi_start, hi_region.clone(), Perms::RX, ".text.hi");

@@ -33,9 +33,10 @@
 
 use crate::event::{EventQueue, HartEvent, HartEventKind};
 use crate::pool::ProcessPool;
+use crate::process::boot_variant;
 use crate::runtime::{FaultCounters, HartCall, KernelRunner, RuntimeTables, TrapDisposition};
 use crate::sched::FiberPool;
-use chimera_emu::{ExecMode, ExecStats, FiberYield, HartFiber};
+use chimera_emu::{Cpu, ExecMode, ExecStats, FiberYield, HartFiber, Memory};
 use chimera_isa::{ExtSet, XReg};
 use chimera_obj::Binary;
 use chimera_trace::{TraceEvent, Tracer};
@@ -56,11 +57,11 @@ pub struct ManyHartConfig {
     pub max_slots: u64,
     /// Execution front end for every hart.
     pub mode: ExecMode,
-    /// Guest stack committed per hart. The single-hart default (8 MiB,
-    /// [`chimera_obj::STACK_SIZE`]) is the wrong trade at N ≫ M scale:
-    /// 256 harts would eagerly zero 2 GiB of stack pages per run, so the
-    /// many-hart default is 256 KiB. The stack always ends at the same
-    /// top address; only guests recursing past the chosen size notice.
+    /// Guest stack committed per [`ManyHartKernel::add_hart`] hart (pooled
+    /// harts get their pool's). 256 KiB by default: 256 harts with the
+    /// 8 MiB [`chimera_obj::STACK_SIZE`] would zero 2 GiB per run. The
+    /// stack always ends at the same top address; only guests recursing
+    /// past the chosen size notice.
     pub stack_bytes: u64,
 }
 
@@ -202,8 +203,9 @@ impl ManyHartKernel {
         }
     }
 
-    /// Adds a hart booted from `binary` on `profile`; a FAM migration
-    /// switches it to `ext_profile`. Returns the hart id.
+    /// Adds a hart booted from `binary` on `profile`, laid out like
+    /// [`crate::Process::load`]; a FAM migration switches it to
+    /// `ext_profile`. Returns the hart id.
     pub fn add_hart(
         &mut self,
         binary: &Binary,
@@ -211,24 +213,8 @@ impl ManyHartKernel {
         ext_profile: ExtSet,
         tables: RuntimeTables,
     ) -> u64 {
-        let id = self.slots.len() as u64;
-        let hart_tracer = self.tracer.for_hart(id);
-        let mut fiber = HartFiber::boot_with_stack(id, binary, profile, self.cfg.stack_bytes);
-        fiber.cpu.set_mode(self.cfg.mode);
-        fiber.cpu.tracer = hart_tracer.clone();
-        let kernel = KernelRunner::with_tracer(tables, hart_tracer.clone());
-        self.slots.push(Mutex::new(HartSlot {
-            fiber,
-            kernel,
-            status: HartStatus::Runnable,
-            pending_wake: false,
-            ext_profile,
-            outbox: Vec::new(),
-            migrations: 0,
-            tracer: hart_tracer,
-            pool_key: None,
-        }));
-        id
+        let (cpu, mem) = boot_variant(binary, &tables, profile, self.cfg.stack_bytes);
+        self.push_hart(cpu, mem, tables, ext_profile, None)
     }
 
     /// Adds a hart spawned from a [`ProcessPool`] slot (the churn fast
@@ -245,14 +231,25 @@ impl ManyHartKernel {
     ) -> Option<u64> {
         let (cpu, mem) = pool.spawn(key, profile)?;
         let tables = pool.variant(key).expect("spawned key").tables.clone();
+        Some(self.push_hart(cpu, mem, tables, ext_profile, Some(key)))
+    }
+
+    /// Wraps a booted CPU + memory into the next hart slot.
+    fn push_hart(
+        &mut self,
+        mut cpu: Cpu,
+        mem: Memory,
+        tables: RuntimeTables,
+        ext_profile: ExtSet,
+        pool_key: Option<u64>,
+    ) -> u64 {
         let id = self.slots.len() as u64;
         let hart_tracer = self.tracer.for_hart(id);
-        let mut fiber = HartFiber::new(id, cpu, mem);
-        fiber.cpu.set_mode(self.cfg.mode);
-        fiber.cpu.tracer = hart_tracer.clone();
+        cpu.set_mode(self.cfg.mode);
+        cpu.tracer = hart_tracer.clone();
         let kernel = KernelRunner::with_tracer(tables, hart_tracer.clone());
         self.slots.push(Mutex::new(HartSlot {
-            fiber,
+            fiber: HartFiber::new(id, cpu, mem),
             kernel,
             status: HartStatus::Runnable,
             pending_wake: false,
@@ -260,9 +257,9 @@ impl ManyHartKernel {
             outbox: Vec::new(),
             migrations: 0,
             tracer: hart_tracer,
-            pool_key: Some(key),
+            pool_key,
         }));
-        Some(id)
+        id
     }
 
     /// Drains every hart slot and returns pooled memories to `pool`
@@ -489,6 +486,14 @@ fn step_slot(slot: &mut HartSlot, hart: u64, now: u64, quantum: u64) {
             TrapDisposition::Resume => {}
             TrapDisposition::Exited(code) => {
                 slot.status = HartStatus::Done(code);
+                return;
+            }
+            TrapDisposition::Migrate { pc } if slot.ext_profile == slot.fiber.cpu.profile => {
+                // Migrating would land on the same profile and re-fault
+                // on the same instruction forever.
+                slot.status = HartStatus::Failed(format!(
+                    "unsupported instruction at {pc:#x} and no more capable profile to migrate to"
+                ));
                 return;
             }
             TrapDisposition::Migrate { .. } => {
@@ -725,6 +730,33 @@ mod tests {
         });
         assert_eq!(r.harts[0].exit, Some(7), "{:?}", r.first_failure());
         assert_eq!(r.delivered, (0, 0, 0));
+    }
+
+    #[test]
+    fn migration_to_the_same_profile_fails_at_once() {
+        // Vector code, no fault-handling table, and nowhere more capable
+        // to go: the hart must fail on its first fault, not re-fault
+        // until the slot budget runs out.
+        let bin = asm("
+            _start:
+                li t0, 4
+                vsetvli t1, t0, e64, m1, ta, ma
+                li a7, 93
+                ecall
+            ");
+        let r = run_with(1, 64, |k| {
+            k.add_hart(
+                &bin,
+                ExtSet::RV64GC,
+                ExtSet::RV64GC,
+                RuntimeTables::default(),
+            );
+        });
+        let (hart, msg) = r.first_failure().expect("the hart fails");
+        assert_eq!(hart, 0);
+        assert!(msg.contains(&format!("{:#x}", bin.entry + 4)), "{msg}");
+        assert_eq!(r.migrations, 0);
+        assert_eq!(r.slots, 1, "failed in the first slot");
     }
 
     #[test]

@@ -10,15 +10,15 @@
 //! [`TraceEvent::SlotRecycled`] so the trace-overhead gate can reconcile
 //! recycles exactly against the `pool.slots_recycled` counter.
 //!
-//! The master image mirrors what [`crate::Process::load`] maps for the
-//! same variant — sections, a default-size stack, and the `[lazy]`
-//! rewrite slack when the variant has a fault-handling table — so pooled
-//! and eagerly loaded processes observe identical address spaces.
+//! The master image is built from the same layout function as an eager
+//! [`crate::Process::load`] of the variant — sections, the stack, and the
+//! `[lazy]` rewrite slack when the variant has a target section — so
+//! pooled and eagerly loaded processes observe identical address spaces.
 
-use crate::process::{Variant, LAZY_SLACK};
-use chimera_emu::{boot_pooled, Cpu, MasterImage, Memory, MemoryPool, PoolStats};
+use crate::process::{lazy_base, map_layout, Variant};
+use chimera_emu::{boot_cpu, Cpu, MasterImage, Memory, MemoryPool, PoolStats};
 use chimera_isa::ExtSet;
-use chimera_obj::{Perms, DEFAULT_STACK_SIZE};
+use chimera_obj::DEFAULT_STACK_SIZE;
 use chimera_rewrite::content_key;
 use chimera_trace::{TraceEvent, Tracer};
 use std::time::Instant;
@@ -60,15 +60,18 @@ impl ProcessPool {
     /// second master; the `[lazy]` slack is folded into the key's flags so
     /// table-less and table-bearing builds of the same bytes never alias.
     pub fn register(&mut self, variant: Variant) -> u64 {
-        let lazy = lazy_base(&variant);
-        let key = content_key(&variant.binary, "process-pool", lazy.unwrap_or(0));
+        let lazy = lazy_base(&variant.tables).unwrap_or(0);
+        let key = content_key(&variant.binary, "process-pool", lazy);
         if self.entries.iter().any(|e| e.key == key) {
             return key;
         }
-        let mut master = MasterImage::new(&variant.binary, self.stack_bytes);
-        if let Some(base) = lazy {
-            master.push_region(base, vec![0; LAZY_SLACK as usize], Perms::RX, "[lazy]");
-        }
+        let mut master = MasterImage::new();
+        map_layout(
+            &variant.binary,
+            &variant.tables,
+            self.stack_bytes,
+            |at, bytes, perms, name| master.push_region(at, bytes, perms, name),
+        );
         self.entries.push(PoolEntry {
             key,
             variant,
@@ -115,7 +118,8 @@ impl ProcessPool {
         let enabled = self.tracer.is_enabled();
         let start = enabled.then(Instant::now);
         let e = self.entry_mut(key)?;
-        let booted = boot_pooled(&mut e.pool, profile);
+        let cpu = boot_cpu(profile, e.variant.binary.entry, e.variant.binary.gp);
+        let booted = (cpu, e.pool.acquire());
         if let Some(start) = start {
             self.tracer
                 .observe("pool.spawn_ns", start.elapsed().as_nanos() as u64);
@@ -164,11 +168,4 @@ impl Default for ProcessPool {
     fn default() -> Self {
         ProcessPool::new()
     }
-}
-
-/// Where the variant's `[lazy]` rewrite slack starts, if it has any —
-/// mirrors the [`crate::Process::load`] mapping rule.
-fn lazy_base(variant: &Variant) -> Option<u64> {
-    let fht = variant.tables.fht.as_ref()?;
-    (fht.target_range.1 > fht.target_range.0).then_some(fht.target_range.1)
 }

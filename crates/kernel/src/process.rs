@@ -12,8 +12,8 @@
 //! across heterogeneous cores").
 
 use crate::runtime::RuntimeTables;
-use chimera_emu::{Cpu, Memory, VLENB};
-use chimera_isa::{Eew, ExtSet, VReg, XReg};
+use chimera_emu::{boot_cpu, Cpu, Memory, VLENB};
+use chimera_isa::{Eew, ExtSet, VReg};
 use chimera_obj::{Binary, Perms, DEFAULT_STACK_SIZE, STACK_TOP};
 use chimera_rewrite::translate::SpillLayout;
 use chimera_trace::{TraceEvent, Tracer};
@@ -21,6 +21,51 @@ use chimera_trace::{TraceEvent, Tracer};
 /// Extra executable slack mapped after the target section for lazy
 /// rewriting at runtime.
 pub const LAZY_SLACK: u64 = 64 * 1024;
+
+/// Where `[lazy]` slack goes for code with `tables`: right after the
+/// target section, when there is one.
+pub(crate) fn lazy_base(tables: &RuntimeTables) -> Option<u64> {
+    let fht = tables.fht.as_ref()?;
+    (fht.target_range.1 > fht.target_range.0).then_some(fht.target_range.1)
+}
+
+/// Lays out one variant's address space, calling `map` once per region:
+/// every section of `binary`, a `stack_bytes` stack ending at
+/// [`STACK_TOP`], and the [`lazy_base`] slack where the passive handler
+/// places lazily rewritten blocks (§4.1). Every loader — eager, pooled,
+/// or a view switch — maps through this, so a variant runs the same
+/// however it is loaded.
+pub(crate) fn map_layout(
+    binary: &Binary,
+    tables: &RuntimeTables,
+    stack_bytes: u64,
+    mut map: impl FnMut(u64, Vec<u8>, Perms, &str),
+) {
+    assert!(stack_bytes > 0, "stack must be at least one byte");
+    for s in &binary.sections {
+        map(s.addr, s.data.clone(), s.perms, &s.name);
+    }
+    let stack = vec![0; stack_bytes as usize];
+    map(STACK_TOP - stack_bytes, stack, Perms::RW, "[stack]");
+    if let Some(base) = lazy_base(tables) {
+        map(base, vec![0; LAZY_SLACK as usize], Perms::RX, "[lazy]");
+    }
+}
+
+/// Boots `binary` on a fresh `profile` core over an eagerly committed
+/// [`map_layout`] address space.
+pub(crate) fn boot_variant(
+    binary: &Binary,
+    tables: &RuntimeTables,
+    profile: ExtSet,
+    stack_bytes: u64,
+) -> (Cpu, Memory) {
+    let mut mem = Memory::new();
+    map_layout(binary, tables, stack_bytes, |at, bytes, perms, name| {
+        mem.map_bytes(at, bytes, perms, name)
+    });
+    (boot_cpu(profile, binary.entry, binary.gp), mem)
+}
 
 /// One binary variant (one MMView's backing image).
 #[derive(Debug, Clone)]
@@ -43,6 +88,12 @@ impl Variant {
     /// The profile this variant's code requires.
     pub fn profile(&self) -> ExtSet {
         self.binary.profile
+    }
+
+    /// Boots this variant on a fresh `profile` core with the default stack
+    /// (a FAM probe may pick a profile that cannot run the code).
+    pub fn boot(&self, profile: ExtSet) -> (Cpu, Memory) {
+        boot_variant(&self.binary, &self.tables, profile, DEFAULT_STACK_SIZE)
     }
 }
 
@@ -72,25 +123,7 @@ impl Process {
     /// booted CPU and memory.
     pub fn load(&self, profile: ExtSet) -> Option<(Cpu, Memory, &Variant)> {
         let view = self.view_for(profile)?;
-        let mut mem = Memory::new();
-        for s in &view.binary.sections {
-            mem.map_bytes(s.addr, s.data.clone(), s.perms, &s.name);
-        }
-        mem.map(
-            STACK_TOP - DEFAULT_STACK_SIZE,
-            DEFAULT_STACK_SIZE,
-            Perms::RW,
-            "[stack]",
-        );
-        if let Some(fht) = &view.tables.fht {
-            if fht.target_range.1 > fht.target_range.0 {
-                mem.map(fht.target_range.1, LAZY_SLACK, Perms::RX, "[lazy]");
-            }
-        }
-        let mut cpu = Cpu::new(profile);
-        cpu.hart.pc = view.binary.entry;
-        cpu.hart.set_x(XReg::SP, STACK_TOP - 64);
-        cpu.hart.set_x(XReg::GP, view.binary.gp);
+        let (cpu, mem) = view.boot(profile);
         Some((cpu, mem, view))
     }
 
@@ -113,21 +146,19 @@ impl Process {
         for n in names {
             mem.unmap(&n);
         }
-        mem.unmap("[lazy]");
-        // Map the new view's non-writable sections, and any writable
-        // section the shared state does not have yet (e.g. the spill
-        // section when coming from a native view).
-        for s in &to.binary.sections {
-            if !s.perms.w || mem.region(&s.name).is_none() {
-                mem.map_bytes(s.addr, s.data.clone(), s.perms, &s.name);
-            }
-        }
-        if let Some(fht) = &to.tables.fht {
-            if fht.target_range.1 > fht.target_range.0 {
-                mem.unmap("[lazy]");
-                mem.map(fht.target_range.1, LAZY_SLACK, Perms::RX, "[lazy]");
-            }
-        }
+        // Map the new view's non-writable regions (code, read-only data,
+        // `[lazy]`), and any writable one the shared state does not have
+        // yet (e.g. the spill section when coming from a native view).
+        map_layout(
+            &to.binary,
+            &to.tables,
+            DEFAULT_STACK_SIZE,
+            |at, bytes, perms, name| {
+                if !perms.w || mem.region(name).is_none() {
+                    mem.map_bytes(at, bytes, perms, name);
+                }
+            },
+        );
         cpu.profile = to_profile;
         true
     }

@@ -206,14 +206,7 @@ impl KernelRunner {
                         TrapDisposition::Exited(cpu.hart.get_x(XReg::A0) as i64)
                     }
                     chimera_emu::sys::WRITE => {
-                        let buf = cpu.hart.get_x(XReg::A1);
-                        let len = cpu.hart.get_x(XReg::A2) as usize;
-                        if let Some(bytes) = mem.peek(buf, len) {
-                            self.stdout.extend_from_slice(&bytes);
-                            cpu.hart.set_x(XReg::A0, len as u64);
-                        } else {
-                            cpu.hart.set_x(XReg::A0, u64::MAX);
-                        }
+                        chimera_emu::sys::write(cpu, mem, &mut self.stdout);
                         cpu.hart.pc = pc + 4;
                         cpu.stats.cycles += cpu.cost.trap / 8; // Light syscall.
                         TrapDisposition::Resume
@@ -383,7 +376,7 @@ impl KernelRunner {
         mem: &mut Memory,
     ) -> Option<u64> {
         // Grow region: right after the target section (the loader maps the
-        // section with slack; see `Process::load`).
+        // section with slack; see `map_layout`).
         let cursor = self
             .lazy_cursor
             .get_or_insert(fht.target_range.1)

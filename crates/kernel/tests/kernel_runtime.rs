@@ -1,10 +1,14 @@
 //! Integration tests for the kernel runtime: passive fault handling,
 //! MMView migration, signal compatibility, and lazy rewriting.
 
+mod common;
+
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::{Ext, ExtSet, XReg};
 use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
 use chimera_obj::{assemble, AsmOptions};
 use chimera_rewrite::{chbp_rewrite, Mode, RewriteOptions};
+use common::chbp_variant;
 
 const VEC_PROG: &str = "
     .data
@@ -24,18 +28,6 @@ const VEC_PROG: &str = "
         li a7, 93
         ecall
 ";
-
-fn chbp_variant(src: &str) -> Variant {
-    let bin = assemble(src, AsmOptions::default()).unwrap();
-    let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-    Variant {
-        binary: rw.binary,
-        tables: RuntimeTables {
-            fht: Some(rw.fht),
-            regen: None,
-        },
-    }
-}
 
 #[test]
 fn kernel_runs_downgraded_binary_with_zero_fault_handling() {
@@ -299,69 +291,50 @@ fn mmview_migration_mid_task() {
 
 #[test]
 fn lazy_rewriting_recovers_hidden_vector_code() {
-    // A vector block reachable only through a pointer the scan cannot see
-    // (stored doubled, halved at runtime): static rewriting misses it, so
-    // the kernel must rewrite lazily on the illegal-instruction fault.
-    let src = "
-        .data
-        a: .dword 7
-           .dword 8
-           .dword 9
-           .dword 10
-        coded_ptr: .dword 0
-        .text
-        _start:
-            li t0, 4
-            vsetvli t1, t0, e64, m1, ta, ma
-            la a0, a
-            la t2, coded_ptr
-            ld t3, 0(t2)
-            srli t3, t3, 1
-            jr t3
-        hidden:
-            vle64.v v1, (a0)
-            vmv.v.i v2, 0
-            vredsum.vs v3, v1, v2
-            vmv.x.s a0, v3
-            li a7, 93
-            ecall
-    ";
-    // Locate `hidden` using a reference build with a visible pointer.
-    let ref_bin = assemble(
-        &src.replace("coded_ptr: .dword 0", "coded_ptr: .dword hidden"),
-        AsmOptions::default(),
-    )
-    .unwrap();
-    let dref = chimera_analysis::disassemble(&ref_bin);
-    let hidden = dref
-        .iter()
-        .find(|di| matches!(di.inst, chimera_isa::Inst::VLoad { .. }))
-        .unwrap()
-        .addr;
-
-    let mut bin = assemble(src, AsmOptions::default()).unwrap();
-    let data = bin.section(".data").unwrap().addr;
-    bin.write(data + 32, &(hidden * 2).to_le_bytes());
-
+    // Static rewriting misses the hidden block (it is not in the redirect
+    // scan), so the kernel must rewrite it lazily.
+    let (bin, variant) = common::hidden_vector_guest();
     // Sanity: the coded program runs natively.
-    let native = chimera_emu::run_binary(&bin, 100_000).unwrap();
+    let native = run_binary(&bin, 100_000, RunConfig::default()).unwrap();
     assert_eq!(native.exit_code, 34);
 
-    // The static pass cannot see `hidden` (not in the redirect scan).
-    let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-    let variant = Variant {
-        binary: rw.binary,
-        tables: RuntimeTables {
-            fht: Some(rw.fht),
-            regen: None,
-        },
-    };
     let process = Process::new(vec![variant]);
     let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GC).unwrap();
     let mut k = KernelRunner::new(view.tables.clone());
     let outcome = k.run(&mut cpu, &mut mem, 1_000_000);
     assert_eq!(outcome, RunOutcome::Exited(34));
     assert!(k.counters.lazy_rewrites > 0, "lazy rewriting must trigger");
+}
+
+/// A guest `write` whose length overflows every address computation gets
+/// `-EFAULT` and keeps running — under the bare runner and the kernel.
+#[test]
+fn huge_write_length_faults_the_call_not_the_emulator() {
+    let bin = assemble(
+        "
+        .data
+        msg: .byte 104
+        .text
+        _start:
+            li a7, 64
+            li a0, 1
+            la a1, msg
+            li a2, -1
+            ecall
+            li a7, 93
+            ecall
+        ",
+        AsmOptions::default(),
+    )
+    .unwrap();
+    let bare = run_binary(&bin, 1000, RunConfig::default()).unwrap();
+    assert_eq!(bare.exit_code, -1, "write returns -EFAULT into a0");
+    assert!(bare.stdout.is_empty());
+
+    let (mut cpu, mut mem) = chimera_emu::boot(&bin, bin.profile);
+    let mut k = KernelRunner::new(RuntimeTables::default());
+    assert_eq!(k.run(&mut cpu, &mut mem, 1000), RunOutcome::Exited(-1));
+    assert!(k.stdout.is_empty());
 }
 
 /// Lazy rewriting severs only the *bumped* regions' cached blocks: every

@@ -7,13 +7,17 @@
 //! worker count. Slot state is allowed to change spawn *latency*, never
 //! results.
 
+mod common;
+
 use chimera_isa::ExtSet;
 use chimera_kernel::{
-    ManyHartConfig, ManyHartKernel, ManyHartResult, ProcessPool, RuntimeTables, Variant,
+    KernelRunner, ManyHartConfig, ManyHartKernel, ManyHartResult, Process, ProcessPool, RunOutcome,
+    RuntimeTables, Variant,
 };
 use chimera_obj::{assemble, AsmOptions, DEFAULT_STACK_SIZE};
-use chimera_rewrite::{chbp_rewrite, ChbpEngine, RewriteOptions, SharedVariantCache};
+use chimera_rewrite::{ChbpEngine, RewriteOptions, SharedVariantCache};
 use chimera_trace::Tracer;
+use common::chbp_variant;
 
 const N: usize = 64;
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -51,18 +55,6 @@ const GUEST: &str = "
         ecall
 ";
 
-fn chbp_variant() -> Variant {
-    let bin = assemble(GUEST, AsmOptions::default()).unwrap();
-    let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-    Variant {
-        binary: rw.binary,
-        tables: RuntimeTables {
-            fht: Some(rw.fht),
-            regen: None,
-        },
-    }
-}
-
 /// Spawns `N` pooled guests, runs them, recycles every slot back, and
 /// returns the result plus the kernel tracer's counter snapshot.
 fn run_round(
@@ -95,7 +87,7 @@ fn run_round(
 
 #[test]
 fn pooled_runs_are_bit_identical_across_slot_states_and_workers() {
-    let variant = chbp_variant();
+    let variant = chbp_variant(GUEST);
 
     // Slot state 1: fresh copy-on-write instantiations (new pool per run).
     let mut fresh: Vec<(ManyHartResult, Vec<(String, u64)>)> = Vec::new();
@@ -177,32 +169,49 @@ fn pooled_runs_are_bit_identical_across_slot_states_and_workers() {
 
 #[test]
 fn pooled_and_eager_boots_agree() {
-    // The pooled fast path must observe exactly like an eager
-    // `Process::load` boot of the same variant.
-    let variant = chbp_variant();
-    let mut pool = ProcessPool::new();
-    let key = pool.register(variant.clone());
+    // The pooled fast path must observe exactly like an eager boot of the
+    // same variant — including the `[lazy]` slack lazy rewriting needs.
+    for (variant, lazy) in [
+        (chbp_variant(GUEST), false),
+        (common::hidden_vector_guest().1, true),
+    ] {
+        let mut pool = ProcessPool::new();
+        let key = pool.register(variant.clone());
 
-    let tracer = Tracer::disabled();
-    let mut eager = ManyHartKernel::with_tracer(ManyHartConfig::default(), tracer.clone());
-    for _ in 0..4 {
-        eager.add_hart(
-            &variant.binary,
-            ExtSet::RV64GC,
-            ExtSet::RV64GC,
-            variant.tables.clone(),
-        );
-    }
-    let eager_r = eager.run();
+        let tracer = Tracer::disabled();
+        let mut eager = ManyHartKernel::with_tracer(ManyHartConfig::default(), tracer.clone());
+        for _ in 0..4 {
+            eager.add_hart(
+                &variant.binary,
+                ExtSet::RV64GC,
+                ExtSet::RV64GC,
+                variant.tables.clone(),
+            );
+        }
+        let eager_r = eager.run();
 
-    let mut pooled = ManyHartKernel::with_tracer(ManyHartConfig::default(), tracer);
-    for _ in 0..4 {
-        pooled
-            .add_pooled_hart(&mut pool, key, ExtSet::RV64GC, ExtSet::RV64GC)
-            .unwrap();
+        let mut pooled = ManyHartKernel::with_tracer(ManyHartConfig::default(), tracer);
+        for _ in 0..4 {
+            pooled
+                .add_pooled_hart(&mut pool, key, ExtSet::RV64GC, ExtSet::RV64GC)
+                .unwrap();
+        }
+        let pooled_r = pooled.run();
+        assert_eq!(pooled_r, eager_r, "pooling is transparent to results");
+        if !lazy {
+            continue;
+        }
+        for h in &eager_r.harts {
+            assert_eq!(h.exit, Some(34), "{:?}", h.failure);
+            assert!(h.counters.lazy_rewrites > 0, "lazy rewriting must trigger");
+        }
+        // A one-shot `Process::load` boot agrees with both.
+        let process = Process::new(vec![variant]);
+        let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GC).unwrap();
+        let mut k = KernelRunner::new(view.tables.clone());
+        assert_eq!(k.run(&mut cpu, &mut mem, 1_000_000), RunOutcome::Exited(34));
+        assert_eq!(k.counters, eager_r.harts[0].counters);
     }
-    let pooled_r = pooled.run();
-    assert_eq!(pooled_r, eager_r, "pooling is transparent to results");
 }
 
 #[test]

@@ -121,7 +121,8 @@ pub const TEXT_BASE: u64 = 0x1_0000;
 pub const STACK_TOP: u64 = 0x4000_0000;
 
 /// Maximum stack reservation in bytes, for workloads that genuinely
-/// recurse deep (callers opt in via `Memory::load_with_stack`).
+/// recurse deep (callers opt in through the kernel's stack-size settings,
+/// `ProcessPool::with_config` and `ManyHartConfig::stack_bytes`).
 pub const STACK_SIZE: u64 = 8 * 1024 * 1024;
 
 /// Default stack reservation in bytes. Stacks are committed eagerly and

@@ -1119,7 +1119,7 @@ pub fn verify_claim1(rw: &Rewritten, original: &Binary) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_emu::{run_binary, run_binary_on, Trap};
+    use chimera_emu::{run_binary, RunConfig, Trap};
     use chimera_obj::{assemble, AsmOptions};
 
     const VEC_SUM: &str = "
@@ -1155,7 +1155,7 @@ mod tests {
     #[test]
     fn downgrade_runs_on_base_core() {
         let bin = asm(VEC_SUM);
-        let native = run_binary(&bin, 100_000).unwrap();
+        let native = run_binary(&bin, 100_000, RunConfig::default()).unwrap();
         assert_eq!(native.exit_code, 110);
 
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
@@ -1163,7 +1163,7 @@ mod tests {
         assert!(rw.fht.untranslated.is_empty());
         verify_claim1(&rw, &bin).unwrap();
         // The rewritten binary runs on a core WITHOUT the vector extension.
-        let r = run_binary_on(&rw.binary, ExtSet::RV64GC, 1_000_000).unwrap();
+        let r = run_binary(&rw.binary, 1_000_000, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(r.exit_code, 110);
         assert_eq!(r.stats.vector_insts, 0);
     }
@@ -1180,7 +1180,7 @@ mod tests {
             },
         )
         .unwrap();
-        let r = run_binary_on(&rw.binary, ExtSet::RV64GCV, 1_000_000).unwrap();
+        let r = run_binary(&rw.binary, 1_000_000, RunConfig::on(ExtSet::RV64GCV)).unwrap();
         assert_eq!(r.exit_code, 110);
         assert!(rw.stats.smile_trampolines > 0);
     }
@@ -1197,7 +1197,7 @@ mod tests {
         .unwrap();
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
         verify_claim1(&rw, &bin).unwrap();
-        let r = run_binary_on(&rw.binary, ExtSet::RV64GC, 1_000_000).unwrap();
+        let r = run_binary(&rw.binary, 1_000_000, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(r.exit_code, 110);
     }
 
@@ -1286,10 +1286,10 @@ mod tests {
                 li a7, 93
                 ecall
         ");
-        let native = run_binary(&bin, 10_000).unwrap();
+        let native = run_binary(&bin, 10_000, RunConfig::default()).unwrap();
         let base_no_b = ExtSet::RV64GC.without(Ext::B);
         let rw = chbp_rewrite(&bin, base_no_b, RewriteOptions::default()).unwrap();
-        let r = run_binary_on(&rw.binary, base_no_b, 1_000_000).unwrap();
+        let r = run_binary(&rw.binary, 1_000_000, RunConfig::on(base_no_b)).unwrap();
         assert_eq!(r.exit_code, native.exit_code);
         assert_eq!(native.exit_code, 103);
     }
@@ -1304,7 +1304,7 @@ mod tests {
         ");
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
         assert_eq!(rw.stats.smile_trampolines, 0);
-        let r = run_binary_on(&rw.binary, ExtSet::RV64GC, 1000).unwrap();
+        let r = run_binary(&rw.binary, 1000, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(r.exit_code, 7);
     }
 
@@ -1338,10 +1338,10 @@ mod tests {
                 li a7, 93
                 ecall
         ");
-        let native = run_binary(&bin, 100_000).unwrap();
+        let native = run_binary(&bin, 100_000, RunConfig::default()).unwrap();
         assert_eq!(native.exit_code, 140);
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-        let r = run_binary_on(&rw.binary, ExtSet::RV64GC, 10_000_000).unwrap();
+        let r = run_binary(&rw.binary, 10_000_000, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(r.exit_code, 140);
     }
 }

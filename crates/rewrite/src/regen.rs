@@ -756,7 +756,7 @@ fn rewrite_original_section(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_emu::{run_binary, run_binary_on};
+    use chimera_emu::{run_binary, RunConfig};
     use chimera_obj::{assemble, AsmOptions};
 
     const PROG: &str = "
@@ -828,19 +828,13 @@ mod tests {
     #[test]
     fn safer_regeneration_downgrades_and_runs() {
         let bin = assemble(PROG, AsmOptions::default()).unwrap();
-        let native = run_binary(&bin, 100_000).unwrap();
+        let native = run_binary(&bin, 100_000, RunConfig::default()).unwrap();
         assert_eq!(native.exit_code, 42);
 
-        let rg = regenerate(
-            &bin,
-            chimera_isa::ExtSet::RV64GC,
-            Mode::Downgrade,
-            Flavor::Safer,
-        )
-        .unwrap();
+        let rg = regenerate(&bin, ExtSet::RV64GC, Mode::Downgrade, Flavor::Safer).unwrap();
         // Indirect jumps were instrumented.
         assert!(rg.rewritten.stats.exit_trampolines > 0);
-        let code = run_regenerated(&rg, chimera_isa::ExtSet::RV64GC, 1_000_000);
+        let code = run_regenerated(&rg, ExtSet::RV64GC, 1_000_000);
         assert_eq!(code, 42);
     }
 
@@ -866,14 +860,19 @@ mod tests {
         .unwrap();
         let rg = regenerate(
             &bin,
-            chimera_isa::ExtSet::RV64GC,
+            ExtSet::RV64GC,
             Mode::EmptyPatch(chimera_isa::Ext::V),
             Flavor::Safer,
         )
         .unwrap();
         // The pointer in .rodata now targets the relocated section: the
         // call takes the fast path, so the bare runner suffices.
-        let r = run_binary_on(&rg.rewritten.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
+        let r = run_binary(
+            &rg.rewritten.binary,
+            100_000,
+            RunConfig::on(ExtSet::RV64GCV),
+        )
+        .unwrap();
         assert_eq!(r.exit_code, 55);
         let ro = rg.rewritten.binary.section(".rodata").unwrap();
         let ptr = u64::from_le_bytes(ro.data[0..8].try_into().unwrap());
@@ -883,13 +882,7 @@ mod tests {
     #[test]
     fn armore_relocation_redirect_map_complete() {
         let bin = assemble(PROG, AsmOptions::default()).unwrap();
-        let rg = regenerate(
-            &bin,
-            chimera_isa::ExtSet::RV64GC,
-            Mode::Downgrade,
-            Flavor::Armore,
-        )
-        .unwrap();
+        let rg = regenerate(&bin, ExtSet::RV64GC, Mode::Downgrade, Flavor::Armore).unwrap();
         // Every original instruction has a redirect.
         let d = chimera_analysis::disassemble(&bin);
         for di in d.iter() {
@@ -920,7 +913,7 @@ mod tests {
         .unwrap();
         let rg = regenerate(
             &bin,
-            chimera_isa::ExtSet::RV64GC,
+            ExtSet::RV64GC,
             Mode::EmptyPatch(chimera_isa::Ext::V),
             Flavor::Armore,
         )
@@ -953,13 +946,13 @@ mod tests {
         for flavor in [Flavor::Safer, Flavor::Armore] {
             let rg = regenerate(
                 &bin,
-                chimera_isa::ExtSet::RV64GC,
+                ExtSet::RV64GC,
                 Mode::EmptyPatch(chimera_isa::Ext::V),
                 flavor,
             )
             .unwrap();
             let r =
-                run_binary_on(&rg.rewritten.binary, chimera_isa::ExtSet::RV64GC, 100_000).unwrap();
+                run_binary(&rg.rewritten.binary, 100_000, RunConfig::on(ExtSet::RV64GC)).unwrap();
             assert_eq!(r.exit_code, 55, "{flavor:?}");
         }
     }

@@ -674,7 +674,8 @@ fn bump_pointers(vl: &VecLoop, em: &mut BlockEmitter) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_emu::{run_binary_on, RunError};
+    use chimera_emu::{run_binary, RunConfig, RunError};
+    use chimera_isa::ExtSet;
     use chimera_obj::{assemble, AsmOptions};
 
     const SCALAR_DOT: &str = "
@@ -713,13 +714,13 @@ mod tests {
     #[test]
     fn integer_dot_loop_vectorizes() {
         let bin = assemble(SCALAR_DOT, AsmOptions::default()).unwrap();
-        let native = chimera_emu::run_binary(&bin, 100_000).unwrap();
+        let native = run_binary(&bin, 100_000, RunConfig::default()).unwrap();
         // 7+16+27+40+55+72 = 217.
         assert_eq!(native.exit_code, 217);
 
         let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
         assert_eq!(rw.stats.smile_trampolines, 1, "one loop vectorized");
-        let r = run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
+        let r = run_binary(&rw.binary, 100_000, RunConfig::on(ExtSet::RV64GCV)).unwrap();
         assert_eq!(r.exit_code, 217);
         // And it actually used vector instructions.
         assert!(r.stats.vector_insts > 0);
@@ -734,7 +735,7 @@ mod tests {
         // FAM-style migration recovers from).
         let bin = assemble(SCALAR_DOT, AsmOptions::default()).unwrap();
         let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
-        let err = run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GC, 100_000).unwrap_err();
+        let err = run_binary(&rw.binary, 100_000, RunConfig::on(ExtSet::RV64GC)).unwrap_err();
         assert!(matches!(
             err,
             RunError::Trap(chimera_emu::Trap::Illegal { .. })
@@ -780,11 +781,11 @@ mod tests {
             AsmOptions::default(),
         )
         .unwrap();
-        let native = chimera_emu::run_binary(&bin, 100_000).unwrap();
+        let native = run_binary(&bin, 100_000, RunConfig::default()).unwrap();
         assert_eq!(native.exit_code, 45);
         let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
         assert_eq!(rw.stats.smile_trampolines, 1);
-        let r = run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
+        let r = run_binary(&rw.binary, 100_000, RunConfig::on(ExtSet::RV64GCV)).unwrap();
         assert_eq!(r.exit_code, 45);
     }
 
@@ -824,11 +825,11 @@ mod tests {
             AsmOptions::default(),
         )
         .unwrap();
-        let native = chimera_emu::run_binary(&bin, 100_000).unwrap();
+        let native = run_binary(&bin, 100_000, RunConfig::default()).unwrap();
         assert_eq!(native.exit_code, 30);
         let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
         assert_eq!(rw.stats.smile_trampolines, 1);
-        let r = run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
+        let r = run_binary(&rw.binary, 100_000, RunConfig::on(ExtSet::RV64GCV)).unwrap();
         assert_eq!(r.exit_code, 30);
     }
 
@@ -851,7 +852,7 @@ mod tests {
         .unwrap();
         let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
         assert_eq!(rw.stats.smile_trampolines, 0);
-        let r = run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
+        let r = run_binary(&rw.binary, 100_000, RunConfig::on(ExtSet::RV64GCV)).unwrap();
         assert_eq!(r.exit_code, 15);
     }
 }

@@ -14,6 +14,8 @@
 //! the zero-patch-site regression for the fixed
 //! `.section(...).unwrap()` panics in the CHBP and upgrade linkers.
 
+use chimera_emu::ExecMode;
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::prng::Prng;
 use chimera_isa::ExtSet;
 use chimera_obj::Binary;
@@ -205,7 +207,7 @@ fn stale_cache_triggers_full_reprime() {
 #[test]
 fn refreshed_variant_matches_native_behaviour() {
     for (bin_name, bin) in zoo() {
-        let r = chimera_emu::run_binary_on(&bin, ExtSet::RV64GCV, FUEL).unwrap();
+        let r = run_binary(&bin, FUEL, RunConfig::on(ExtSet::RV64GCV)).unwrap();
         let expected = (r.exit_code, r.stdout);
         for (eng_name, engine) in engines() {
             if eng_name == "identity" {
@@ -238,7 +240,7 @@ fn refreshed_variant_matches_native_behaviour() {
                 refreshed.rewritten.binary.clone(),
                 tables,
                 ExtSet::RV64GC,
-                true,
+                ExecMode::Engine,
             );
             assert_eq!(
                 (kr.exit_code, kr.stdout),

@@ -22,6 +22,7 @@
 //! identical to what the static transform stage would emit at the same
 //! address.
 
+use chimera_emu::ExecMode;
 use chimera_isa::{Ext, ExtSet, Inst};
 use chimera_kernel::RuntimeTables;
 use chimera_obj::Binary;
@@ -188,7 +189,7 @@ fn every_engine_passes_differential_check() {
                 fht: Some(rw.fht),
                 regen: None,
             };
-            let kr = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, true);
+            let kr = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, ExecMode::Engine);
             assert_eq!(
                 (kr.exit_code, kr.stdout),
                 expected,
@@ -212,7 +213,12 @@ fn every_engine_passes_differential_check() {
                 fht: Some(rg.rewritten.fht),
                 regen: Some(rg.info),
             };
-            let kr = run_under_kernel(rg.rewritten.binary, tables, ExtSet::RV64GC, true);
+            let kr = run_under_kernel(
+                rg.rewritten.binary,
+                tables,
+                ExtSet::RV64GC,
+                ExecMode::Engine,
+            );
             assert_eq!(
                 (kr.exit_code, kr.stdout),
                 expected,
@@ -309,7 +315,7 @@ fn lazy_blocks_match_static_translation() {
         kernel: k,
         mut mem,
         ..
-    } = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, true);
+    } = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, ExecMode::Engine);
     assert_eq!(
         (exit_code, stdout),
         expected,

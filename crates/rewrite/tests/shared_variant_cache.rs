@@ -7,6 +7,7 @@
 //! holder's SMC pokes can never invalidate another holder's clean units,
 //! and the untouched holder's execution stays bit-identical.
 
+use chimera_emu::ExecMode;
 use chimera_isa::ExtSet;
 use chimera_rewrite::{
     ebreak_patch, run_incremental, ChbpEngine, RewriteOptions, SharedVariantCache,
@@ -30,7 +31,7 @@ fn kernel_obs(handle: &chimera_rewrite::VariantHandle) -> (i64, Vec<u8>) {
         handle.rewritten().binary.clone(),
         tables,
         ExtSet::RV64GC,
-        true,
+        ExecMode::Engine,
     );
     (r.exit_code, r.stdout)
 }

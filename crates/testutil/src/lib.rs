@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use chimera_emu::{BareRun, BareYield, Cpu, ExecMode, Memory, RunError, RunResult};
+use chimera_emu::{BareRun, BareYield, Cpu, ExecMode, Memory, RunConfig, RunError, RunResult};
 use chimera_isa::prng::Prng;
 use chimera_isa::ExtSet;
 use chimera_kernel::{
@@ -57,19 +57,6 @@ pub fn writable_bytes(mem: &mut Memory, bin: &Binary) -> Vec<(String, Vec<u8>)> 
         .collect()
 }
 
-/// Runs `bin` keeping the final memory, so callers can compare
-/// data-section bytes in addition to the [`RunResult`].
-pub fn run_keeping_mem(
-    bin: &Binary,
-    profile: ExtSet,
-    cache: bool,
-) -> (Result<RunResult, RunError>, Memory) {
-    let (mut cpu, mut mem) = chimera_emu::boot(bin, profile);
-    cpu.cache.enabled = cache;
-    let r = chimera_emu::run_cpu(&mut cpu, &mut mem, FUEL);
-    (r, mem)
-}
-
 /// Everything observable about one execution configuration of one
 /// program — the unit of comparison for differential suites and the
 /// fuzzing oracles. Two configurations agree iff their `Obs` are equal
@@ -94,23 +81,47 @@ pub struct Obs {
     pub mem: Vec<(String, Vec<u8>)>,
 }
 
-/// Runs `bin` under an explicit [`ExecMode`] and cache switch, capturing
-/// the comparable observation plus the cache counters.
+impl Obs {
+    /// The observation of a finished run of `bin`.
+    fn capture(
+        result: Result<RunResult, RunError>,
+        cpu: &Cpu,
+        mem: &mut Memory,
+        bin: &Binary,
+    ) -> Obs {
+        Obs {
+            result,
+            xregs: cpu.hart.xregs(),
+            stats: cpu.stats,
+            pc: cpu.hart.pc,
+            mem: writable_bytes(mem, bin),
+        }
+    }
+}
+
+/// Boots `bin`, lets `setup` configure the CPU, runs it, and captures the
+/// observation plus the cache counters.
+fn observe(
+    bin: &Binary,
+    profile: ExtSet,
+    fuel: u64,
+    setup: impl FnOnce(&mut Cpu),
+) -> (Obs, chimera_emu::CacheStats) {
+    let (mut cpu, mut mem) = chimera_emu::boot(bin, profile);
+    setup(&mut cpu);
+    let result = chimera_emu::run_cpu(&mut cpu, &mut mem, fuel);
+    (Obs::capture(result, &cpu, &mut mem, bin), cpu.cache.stats)
+}
+
+/// Runs `bin` under an explicit [`ExecMode`], capturing the comparable
+/// observation plus the cache counters.
 pub fn observe_mode(
     bin: &Binary,
     profile: ExtSet,
     mode: ExecMode,
-    cache: bool,
     fuel: u64,
 ) -> (Obs, chimera_emu::CacheStats) {
-    observe_mode_traced(
-        bin,
-        profile,
-        mode,
-        cache,
-        fuel,
-        &chimera_trace::Tracer::disabled(),
-    )
+    observe(bin, profile, fuel, |cpu| cpu.set_mode(mode))
 }
 
 /// [`observe_mode`] with an explicit tracer attached to the CPU (for
@@ -119,26 +130,13 @@ pub fn observe_mode_traced(
     bin: &Binary,
     profile: ExtSet,
     mode: ExecMode,
-    cache: bool,
     fuel: u64,
-    tracer: &chimera_trace::Tracer,
+    tracer: &Tracer,
 ) -> (Obs, chimera_emu::CacheStats) {
-    let (mut cpu, mut mem) = chimera_emu::boot(bin, profile);
-    cpu.set_mode(mode);
-    cpu.cache.enabled = cache;
-    cpu.tracer = tracer.clone();
-    let result = chimera_emu::run_cpu(&mut cpu, &mut mem, fuel);
-    let mem_bytes = writable_bytes(&mut mem, bin);
-    (
-        Obs {
-            result,
-            xregs: cpu.hart.xregs(),
-            stats: cpu.stats,
-            pc: cpu.hart.pc,
-            mem: mem_bytes,
-        },
-        cpu.cache.stats,
-    )
+    observe(bin, profile, fuel, |cpu| {
+        cpu.set_mode(mode);
+        cpu.tracer = tracer.clone();
+    })
 }
 
 /// Observations of every [`ExecMode`] for one binary — the full
@@ -187,30 +185,19 @@ pub fn observe_jit(
     fuel: u64,
     threshold: u32,
 ) -> (Obs, chimera_emu::CacheStats) {
-    let (mut cpu, mut mem) = chimera_emu::boot(bin, profile);
-    cpu.set_mode(ExecMode::Jit);
-    cpu.set_jit_threshold(threshold);
-    let result = chimera_emu::run_cpu(&mut cpu, &mut mem, fuel);
-    let mem_bytes = writable_bytes(&mut mem, bin);
-    (
-        Obs {
-            result,
-            xregs: cpu.hart.xregs(),
-            stats: cpu.stats,
-            pc: cpu.hart.pc,
-            mem: mem_bytes,
-        },
-        cpu.cache.stats,
-    )
+    observe(bin, profile, fuel, |cpu| {
+        cpu.set_mode(ExecMode::Jit);
+        cpu.set_jit_threshold(threshold);
+    })
 }
 
 /// Runs `bin` once per [`ExecMode`] and captures each observation — the
 /// standard way for a suite to assert four-way transparency.
 pub fn run_all_modes(bin: &Binary, profile: ExtSet, fuel: u64) -> ModeMatrix {
     ModeMatrix {
-        reference: observe_mode(bin, profile, ExecMode::Reference, false, fuel),
-        interpreter: observe_mode(bin, profile, ExecMode::Interpreter, true, fuel),
-        engine: observe_mode(bin, profile, ExecMode::Engine, true, fuel),
+        reference: observe_mode(bin, profile, ExecMode::Reference, fuel),
+        interpreter: observe_mode(bin, profile, ExecMode::Interpreter, fuel),
+        engine: observe_mode(bin, profile, ExecMode::Engine, fuel),
         jit: observe_jit(bin, profile, fuel, 1),
     }
 }
@@ -231,27 +218,24 @@ pub struct KernelRun {
 
 /// Runs `binary` on `profile` under the simulated kernel (normal flow may
 /// route through SMILE trampolines, trap trampolines, Safer corrections
-/// and lazy rewrites — the passive handler resolves them all), panicking
-/// unless the task exits. `cache` switches the decode cache.
+/// and lazy rewrites — the passive handler resolves them all) in `mode`,
+/// panicking unless the task exits.
 pub fn run_under_kernel(
     binary: Binary,
     tables: RuntimeTables,
     profile: ExtSet,
-    cache: bool,
+    mode: ExecMode,
 ) -> KernelRun {
-    let process = Process::new(vec![Variant { binary, tables }]);
-    let (mut cpu, mut mem, view) = process.load(profile).expect("view loads");
-    cpu.cache.enabled = cache;
-    let mut k = KernelRunner::new(view.tables.clone());
-    match k.run(&mut cpu, &mut mem, FUEL) {
+    let ko = run_under_kernel_at(binary, tables, profile, mode, None, FUEL);
+    match ko.outcome {
         RunOutcome::Exited(exit_code) => KernelRun {
             exit_code,
-            stdout: k.stdout.clone(),
-            cpu,
-            kernel: k,
-            mem,
+            stdout: ko.stdout,
+            cpu: ko.cpu,
+            kernel: ko.kernel,
+            mem: ko.mem,
         },
-        other => panic!("kernel run (cache={cache}) ended with {other:?}"),
+        other => panic!("kernel run ({mode:?}) ended with {other:?}"),
     }
 }
 
@@ -280,13 +264,13 @@ pub fn run_under_kernel_at(
     binary: Binary,
     tables: RuntimeTables,
     profile: ExtSet,
-    cache: bool,
+    mode: ExecMode,
     entry: Option<u64>,
     fuel: u64,
 ) -> KernelObs {
     let process = Process::new(vec![Variant { binary, tables }]);
     let (mut cpu, mut mem, view) = process.load(profile).expect("view loads");
-    cpu.cache.enabled = cache;
+    cpu.set_mode(mode);
     if let Some(pc) = entry {
         cpu.hart.pc = pc;
     }
@@ -303,7 +287,7 @@ pub fn run_under_kernel_at(
 
 /// Runs a CHBP-style [`Rewritten`] (patched binary + fault table) on the
 /// base profile under the kernel.
-pub fn run_rewritten(rw: &Rewritten, cache: bool) -> KernelRun {
+pub fn run_rewritten(rw: &Rewritten, mode: ExecMode) -> KernelRun {
     run_under_kernel(
         rw.binary.clone(),
         RuntimeTables {
@@ -311,14 +295,15 @@ pub fn run_rewritten(rw: &Rewritten, cache: bool) -> KernelRun {
             regen: None,
         },
         ExtSet::RV64GC,
-        cache,
+        mode,
     )
 }
 
 /// Native reference behaviour: the original binary run to completion on
 /// the extension profile. Panics if it does not exit cleanly.
 pub fn native_reference(bin: &Binary) -> (i64, Vec<u8>) {
-    let r = chimera_emu::run_binary_on(bin, ExtSet::RV64GCV, FUEL).expect("native run exits");
+    let r = chimera_emu::run_binary(bin, FUEL, RunConfig::on(ExtSet::RV64GCV))
+        .expect("native run exits");
     (r.exit_code, r.stdout)
 }
 
@@ -422,7 +407,6 @@ pub fn observe_mode_sliced(
     bin: &Binary,
     profile: ExtSet,
     mode: ExecMode,
-    cache: bool,
     fuel: u64,
     slice: u64,
     hop_every: u64,
@@ -433,7 +417,6 @@ pub fn observe_mode_sliced(
     if mode == ExecMode::Jit {
         cpu.set_jit_threshold(1);
     }
-    cpu.cache.enabled = cache;
     let mut run = BareRun::new();
     let mut slices = 0u64;
     let result = loop {
@@ -468,14 +451,7 @@ pub fn observe_mode_sliced(
             BareYield::Failed(err) => break Err(err),
         }
     };
-    let mem_bytes = writable_bytes(&mut mem, bin);
-    Obs {
-        result,
-        xregs: cpu.hart.xregs(),
-        stats: cpu.stats,
-        pc: cpu.hart.pc,
-        mem: mem_bytes,
-    }
+    Obs::capture(result, &cpu, &mut mem, bin)
 }
 
 /// The binaries of the standard heterogeneous many-hart scenario,

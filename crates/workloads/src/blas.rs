@@ -441,14 +441,15 @@ impl BlasKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_emu::run_binary;
+    use chimera_emu::{run_binary, RunConfig};
+    use chimera_isa::ExtSet;
 
     #[test]
     fn dgemm_scalar_vector_agree_exactly() {
         let v = gemm(8, 8, 8, 0, 8, Precision::Double, true);
         let s = gemm(8, 8, 8, 0, 8, Precision::Double, false);
-        let rv = run_binary(&v, 50_000_000).unwrap();
-        let rs = run_binary(&s, 50_000_000).unwrap();
+        let rv = run_binary(&v, 50_000_000, RunConfig::default()).unwrap();
+        let rs = run_binary(&s, 50_000_000, RunConfig::default()).unwrap();
         assert_eq!(rv.exit_code, rs.exit_code);
         assert!(rv.stats.vector_insts > 0);
         assert!(rv.stats.cycles < rs.stats.cycles, "vector wins");
@@ -458,8 +459,8 @@ mod tests {
     fn sgemm_scalar_vector_agree() {
         let v = gemm(6, 6, 6, 0, 6, Precision::Single, true);
         let s = gemm(6, 6, 6, 0, 6, Precision::Single, false);
-        let rv = run_binary(&v, 50_000_000).unwrap();
-        let rs = run_binary(&s, 50_000_000).unwrap();
+        let rv = run_binary(&v, 50_000_000, RunConfig::default()).unwrap();
+        let rs = run_binary(&s, 50_000_000, RunConfig::default()).unwrap();
         assert_eq!(rv.exit_code, rs.exit_code);
     }
 
@@ -468,8 +469,8 @@ mod tests {
         for p in [Precision::Double, Precision::Single] {
             let v = gemv(12, 12, 0, 12, p, true);
             let s = gemv(12, 12, 0, 12, p, false);
-            let rv = run_binary(&v, 50_000_000).unwrap();
-            let rs = run_binary(&s, 50_000_000).unwrap();
+            let rv = run_binary(&v, 50_000_000, RunConfig::default()).unwrap();
+            let rs = run_binary(&s, 50_000_000, RunConfig::default()).unwrap();
             assert_eq!(rv.exit_code, rs.exit_code, "{p:?}");
         }
     }
@@ -477,12 +478,18 @@ mod tests {
     #[test]
     fn row_slices_partition_whole_matrix() {
         // Sum of per-slice checksums equals the full-run checksum.
-        let full = run_binary(&gemv(8, 8, 0, 8, Precision::Double, false), 50_000_000)
-            .unwrap()
-            .exit_code;
+        let full = run_binary(
+            &gemv(8, 8, 0, 8, Precision::Double, false),
+            50_000_000,
+            RunConfig::default(),
+        )
+        .unwrap()
+        .exit_code;
         let mut sum = 0i64;
         for (_, s) in sliced_kernels(BlasKind::Dgemv, 8, 4) {
-            sum += run_binary(&s, 50_000_000).unwrap().exit_code;
+            sum += run_binary(&s, 50_000_000, RunConfig::default())
+                .unwrap()
+                .exit_code;
         }
         assert_eq!(sum, full);
     }
@@ -490,15 +497,14 @@ mod tests {
     #[test]
     fn dgemm_downgrade_matches_native() {
         let v = gemm(6, 6, 6, 0, 6, Precision::Double, true);
-        let native = run_binary(&v, 50_000_000).unwrap();
+        let native = run_binary(&v, 50_000_000, RunConfig::default()).unwrap();
         let rw = chimera_rewrite::chbp_rewrite(
             &v,
-            chimera_isa::ExtSet::RV64GC,
+            ExtSet::RV64GC,
             chimera_rewrite::RewriteOptions::default(),
         )
         .unwrap();
-        let down = chimera_emu::run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GC, 500_000_000)
-            .unwrap();
+        let down = run_binary(&rw.binary, 500_000_000, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(native.exit_code, down.exit_code);
     }
 }

@@ -302,14 +302,15 @@ pub struct StandardTasks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_emu::run_binary;
+    use chimera_emu::{run_binary, RunConfig};
+    use chimera_isa::ExtSet;
 
     #[test]
     fn matrix_versions_agree() {
         let v = matrix_task(16, 2, true);
         let s = matrix_task(16, 2, false);
-        let rv = run_binary(&v, 10_000_000).unwrap();
-        let rs = run_binary(&s, 10_000_000).unwrap();
+        let rv = run_binary(&v, 10_000_000, RunConfig::default()).unwrap();
+        let rs = run_binary(&s, 10_000_000, RunConfig::default()).unwrap();
         assert_eq!(rv.exit_code, rs.exit_code);
         assert!(rv.stats.vector_insts > 0);
         assert_eq!(rs.stats.vector_insts, 0);
@@ -323,7 +324,7 @@ mod tests {
         // hart-control call, not misexecute it. The end-to-end behaviour
         // lives in chimera-kernel's many-hart tests and the bench gate.
         let c = communicator_task(3, 1);
-        match run_binary(&c, 100_000) {
+        match run_binary(&c, 100_000, RunConfig::default()) {
             Err(chimera_emu::RunError::BadSyscall { number }) => {
                 assert_eq!(number, chimera_emu::sys::HART_ID);
             }
@@ -334,7 +335,7 @@ mod tests {
     #[test]
     fn fib_runs() {
         let f = fib_task(90, 2);
-        let r = run_binary(&f, 1_000_000).unwrap();
+        let r = run_binary(&f, 1_000_000, RunConfig::default()).unwrap();
         assert!(r.exit_code != 0);
     }
 
@@ -344,9 +345,8 @@ mod tests {
         let rw = chimera_rewrite::upgrade_rewrite(&s, chimera_rewrite::RewriteOptions::default())
             .unwrap();
         assert!(rw.stats.smile_trampolines >= 1, "the dot loop vectorizes");
-        let native = run_binary(&s, 10_000_000).unwrap();
-        let up = chimera_emu::run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GCV, 10_000_000)
-            .unwrap();
+        let native = run_binary(&s, 10_000_000, RunConfig::default()).unwrap();
+        let up = run_binary(&rw.binary, 10_000_000, RunConfig::on(ExtSet::RV64GCV)).unwrap();
         assert_eq!(native.exit_code, up.exit_code);
         assert!(up.stats.cycles < native.stats.cycles, "upgrade accelerates");
     }
@@ -355,15 +355,14 @@ mod tests {
     fn ext_task_downgrade_cost_ratio_is_sane() {
         // Paper §6.1: ext task on base core ≈ 2× ext task on ext core.
         let v = matrix_task(64, 4, true);
-        let native = run_binary(&v, 50_000_000).unwrap();
+        let native = run_binary(&v, 50_000_000, RunConfig::default()).unwrap();
         let rw = chimera_rewrite::chbp_rewrite(
             &v,
-            chimera_isa::ExtSet::RV64GC,
+            ExtSet::RV64GC,
             chimera_rewrite::RewriteOptions::default(),
         )
         .unwrap();
-        let down = chimera_emu::run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GC, 50_000_000)
-            .unwrap();
+        let down = run_binary(&rw.binary, 50_000_000, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(native.exit_code, down.exit_code);
         let ratio = down.stats.cycles as f64 / native.stats.cycles as f64;
         assert!(

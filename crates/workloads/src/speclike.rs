@@ -517,7 +517,7 @@ fn{idx}_vloop:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_emu::{run_binary, run_binary_on};
+    use chimera_emu::{run_binary, RunConfig};
     use chimera_isa::ExtSet;
     use chimera_rewrite::{chbp_rewrite, Mode, RewriteOptions};
 
@@ -546,7 +546,8 @@ mod tests {
     fn programs_run_and_terminate() {
         for p in &SPEC_PROFILES[..3] {
             let bin = small(p);
-            let r = run_binary(&bin, 500_000_000).unwrap_or_else(|e| panic!("{}: {e}", p.name));
+            let r = run_binary(&bin, 500_000_000, RunConfig::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", p.name));
             assert!(r.stats.instret > 300, "{} did real work", p.name);
         }
     }
@@ -556,10 +557,10 @@ mod tests {
         // §6.3 methodology: translated binaries behave identically.
         let p = &SPEC_PROFILES[4]; // cactuBSSN_r: highest vector share.
         let bin = small(p);
-        let native = run_binary(&bin, 500_000_000).unwrap();
+        let native = run_binary(&bin, 500_000_000, RunConfig::default()).unwrap();
         assert!(native.stats.vector_insts > 0, "profile has vector code");
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-        let down = run_binary_on(&rw.binary, ExtSet::RV64GC, 2_000_000_000).unwrap();
+        let down = run_binary(&rw.binary, 2_000_000_000, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(native.exit_code, down.exit_code, "{}", p.name);
         assert_eq!(down.stats.vector_insts, 0);
     }
@@ -568,7 +569,7 @@ mod tests {
     fn empty_patch_preserves_checksum_and_runs_with_trampolines() {
         let p = &SPEC_PROFILES[4];
         let bin = small(p);
-        let native = run_binary(&bin, 500_000_000).unwrap();
+        let native = run_binary(&bin, 500_000_000, RunConfig::default()).unwrap();
         let rw = chbp_rewrite(
             &bin,
             ExtSet::RV64GCV,
@@ -579,7 +580,8 @@ mod tests {
         )
         .unwrap();
         assert!(rw.stats.smile_trampolines > 0);
-        let patched = run_binary_on(&rw.binary, ExtSet::RV64GCV, 2_000_000_000).unwrap();
+        let patched =
+            run_binary(&rw.binary, 2_000_000_000, RunConfig::on(ExtSet::RV64GCV)).unwrap();
         assert_eq!(native.exit_code, patched.exit_code);
         // Empty patching overhead should be small (§6.2: ~5%).
         let overhead = patched.stats.cycles as f64 / native.stats.cycles as f64 - 1.0;
@@ -594,7 +596,7 @@ mod tests {
     #[test]
     fn indirect_calls_present() {
         let bin = small(&SPEC_PROFILES[0]); // perlbench: indirect-heavy.
-        let r = run_binary(&bin, 500_000_000).unwrap();
+        let r = run_binary(&bin, 500_000_000, RunConfig::default()).unwrap();
         assert!(r.stats.indirect_jumps > 10);
     }
 }

@@ -7,6 +7,7 @@
 //! ```
 
 use chimera::{measure, prepare_process, InputVersion, SystemKind, TaskBinaries};
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::ExtSet;
 use chimera_workloads::blas::{gemm, Precision};
 
@@ -17,8 +18,10 @@ fn main() {
     let vector = gemm(size, size, size, 0, size, Precision::Double, true);
     let scalar = gemm(size, size, size, 0, size, Precision::Double, false);
 
-    let native_ext = chimera_emu::run_binary(&vector, u64::MAX / 2).expect("vector native");
-    let native_base = chimera_emu::run_binary(&scalar, u64::MAX / 2).expect("scalar native");
+    let native_ext =
+        run_binary(&vector, u64::MAX / 2, RunConfig::default()).expect("vector native");
+    let native_base =
+        run_binary(&scalar, u64::MAX / 2, RunConfig::default()).expect("scalar native");
     assert_eq!(native_ext.exit_code, native_base.exit_code);
     println!(
         "  native RVV on ext core    : checksum {:>8}, {:>9} cycles",

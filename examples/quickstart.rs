@@ -7,6 +7,7 @@
 //! ```
 
 use chimera::{measure, prepare_process, InputVersion, SystemKind, TaskBinaries};
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::ExtSet;
 use chimera_obj::{assemble, AsmOptions};
 
@@ -46,7 +47,7 @@ fn main() {
     );
 
     // Native run on an extension core.
-    let native = chimera_emu::run_binary(&ext_binary, 1_000_000).expect("native run");
+    let native = run_binary(&ext_binary, 1_000_000, RunConfig::default()).expect("native run");
     println!(
         "native on extension core : result {}, {} cycles, {} vector insts",
         native.exit_code, native.stats.cycles, native.stats.vector_insts

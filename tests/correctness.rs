@@ -2,6 +2,7 @@
 //! rewritten binaries over the synthetic benchmark suite and randomized
 //! programs, plus exhaustive erroneous-jump recovery (Claims 1 and 2).
 
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::prng::Prng;
 use chimera_isa::{Ext, ExtSet};
 use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
@@ -28,10 +29,10 @@ fn downgraded_spec_suite_is_semantically_equal() {
     // compared against the original run.
     for p in SPEC_PROFILES.iter().take(6) {
         let bin = gen_small(p, 1);
-        let native = chimera_emu::run_binary(&bin, u64::MAX / 2).unwrap();
+        let native = run_binary(&bin, u64::MAX / 2, RunConfig::default()).unwrap();
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
         verify_claim1(&rw, &bin).unwrap_or_else(|e| panic!("{}: {e}", p.name));
-        let down = chimera_emu::run_binary_on(&rw.binary, ExtSet::RV64GC, u64::MAX / 2).unwrap();
+        let down = run_binary(&rw.binary, u64::MAX / 2, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(native.exit_code, down.exit_code, "{}", p.name);
         assert_eq!(down.stats.vector_insts, 0, "{}: fully downgraded", p.name);
     }
@@ -41,9 +42,9 @@ fn downgraded_spec_suite_is_semantically_equal() {
 fn real_world_profiles_pass_differential_suite() {
     for p in APP_PROFILES.iter().take(3) {
         let bin = gen_small(p, 2);
-        let native = chimera_emu::run_binary(&bin, u64::MAX / 2).unwrap();
+        let native = run_binary(&bin, u64::MAX / 2, RunConfig::default()).unwrap();
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-        let down = chimera_emu::run_binary_on(&rw.binary, ExtSet::RV64GC, u64::MAX / 2).unwrap();
+        let down = run_binary(&rw.binary, u64::MAX / 2, RunConfig::on(ExtSet::RV64GC)).unwrap();
         assert_eq!(native.exit_code, down.exit_code, "{}", p.name);
     }
 }
@@ -110,7 +111,7 @@ fn empty_patch_differential_on_compressed_code() {
     // Compressed encodings make P2/P3 constraints kick in; semantics must
     // still hold.
     let bin = gen_small(&SPEC_PROFILES[9], 4); // imagick-like.
-    let native = chimera_emu::run_binary(&bin, u64::MAX / 2).unwrap();
+    let native = run_binary(&bin, u64::MAX / 2, RunConfig::default()).unwrap();
     let rw = chbp_rewrite(
         &bin,
         ExtSet::RV64GCV,
@@ -121,7 +122,7 @@ fn empty_patch_differential_on_compressed_code() {
     )
     .unwrap();
     verify_claim1(&rw, &bin).unwrap();
-    let patched = chimera_emu::run_binary_on(&rw.binary, ExtSet::RV64GCV, u64::MAX / 2).unwrap();
+    let patched = run_binary(&rw.binary, u64::MAX / 2, RunConfig::on(ExtSet::RV64GCV)).unwrap();
     assert_eq!(native.exit_code, patched.exit_code);
 }
 
@@ -172,10 +173,10 @@ fn random_vector_programs_downgrade_equivalently() {
             },
         )
         .expect("assembles");
-        let native = chimera_emu::run_binary(&bin, 10_000_000).expect("native");
+        let native = run_binary(&bin, 10_000_000, RunConfig::default()).expect("native");
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).expect("rewrites");
         verify_claim1(&rw, &bin).expect("claim 1");
-        let down = chimera_emu::run_binary_on(&rw.binary, ExtSet::RV64GC, 50_000_000)
+        let down = run_binary(&rw.binary, 50_000_000, RunConfig::on(ExtSet::RV64GC))
             .expect("downgraded runs bare (no faults in normal flow)");
         assert_eq!(native.exit_code, down.exit_code, "seed {seed}");
         assert_eq!(down.stats.vector_insts, 0, "seed {seed}");

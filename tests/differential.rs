@@ -8,11 +8,12 @@
 //! the cache may change wall-clock time only, never results, traps,
 //! register files, memory, or simulated cycle accounting.
 
+use chimera_emu::{run_binary, ExecMode, RunConfig};
 use chimera_isa::ExtSet;
 use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
 use chimera_obj::Binary;
 use chimera_rewrite::{chbp_rewrite, verify_claim1, RewriteOptions};
-use chimera_testutil::{run_all_modes, run_keeping_mem, run_rewritten, writable_bytes, FUEL};
+use chimera_testutil::{observe_mode, run_all_modes, run_rewritten, writable_bytes, Obs, FUEL};
 use chimera_workloads::blas::{self, Precision};
 use chimera_workloads::hetero;
 use chimera_workloads::speclike::{generate, GenOptions, APP_PROFILES, SPEC_PROFILES};
@@ -66,16 +67,17 @@ fn workloads() -> Vec<(String, Binary)> {
 fn cache_on_off_identical_for_every_workload() {
     for (name, bin) in workloads() {
         for profile in [ExtSet::RV64GCV, bin.profile] {
-            let (on, mut mem_on) = run_keeping_mem(&bin, profile, true);
-            let (off, mut mem_off) = run_keeping_mem(&bin, profile, false);
+            let on = observe(&bin, profile, ExecMode::Engine);
+            let off = observe(&bin, profile, ExecMode::Reference);
             assert_eq!(on, off, "{name}: cache on/off diverged on {profile}");
-            assert_eq!(
-                writable_bytes(&mut mem_on, &bin),
-                writable_bytes(&mut mem_off, &bin),
-                "{name}: output memory diverged on {profile}"
-            );
         }
     }
+}
+
+/// Observes one run of `bin` to completion (result, registers, stats and
+/// output memory).
+fn observe(bin: &Binary, profile: ExtSet, mode: ExecMode) -> Obs {
+    observe_mode(bin, profile, mode, FUEL).0
 }
 
 /// Unrewritten on RV64GCV vs CHBP-rewritten on RV64GC: identical exit
@@ -84,24 +86,25 @@ fn cache_on_off_identical_for_every_workload() {
 #[test]
 fn rewritten_matches_native_for_every_workload() {
     for (name, bin) in workloads() {
-        let (native, mut native_mem) = run_keeping_mem(&bin, ExtSet::RV64GCV, true);
-        let native = native.unwrap_or_else(|e| panic!("{name}: native run failed: {e}"));
+        let native_obs = observe(&bin, ExtSet::RV64GCV, ExecMode::Engine);
+        let native = native_obs
+            .result
+            .unwrap_or_else(|e| panic!("{name}: native run failed: {e}"));
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default())
             .unwrap_or_else(|e| panic!("{name}: rewrite failed: {e}"));
         verify_claim1(&rw, &bin).unwrap_or_else(|e| panic!("{name}: claim 1: {e}"));
-        let native_data = writable_bytes(&mut native_mem, &bin);
         let mut per_cache = Vec::new();
-        for cache in [true, false] {
-            let mut kr = run_rewritten(&rw, cache);
-            assert_eq!(native.exit_code, kr.exit_code, "{name} (cache={cache})");
-            assert_eq!(native.stdout, kr.stdout, "{name} (cache={cache})");
+        for mode in [ExecMode::Engine, ExecMode::Reference] {
+            let mut kr = run_rewritten(&rw, mode);
+            assert_eq!(native.exit_code, kr.exit_code, "{name} ({mode:?})");
+            assert_eq!(native.stdout, kr.stdout, "{name} ({mode:?})");
             assert_eq!(kr.cpu.stats.vector_insts, 0, "{name}: fully downgraded");
             // The original's writable sections exist untouched (by name and
             // address) in the rewritten binary; final contents must match.
             assert_eq!(
-                native_data,
+                native_obs.mem,
                 writable_bytes(&mut kr.mem, &bin),
-                "{name} (cache={cache}): output memory diverged"
+                "{name} ({mode:?}): output memory diverged"
             );
             per_cache.push(kr.cpu.stats);
         }
@@ -117,9 +120,9 @@ fn rewritten_matches_native_for_every_workload() {
 fn traps_identical_cache_on_off() {
     // Vector program on a base core, unrewritten: illegal instruction.
     let vec_bin = hetero::matrix_task(4, 1, true);
-    let (on, _) = run_keeping_mem(&vec_bin, ExtSet::RV64GC, true);
-    let (off, _) = run_keeping_mem(&vec_bin, ExtSet::RV64GC, false);
-    assert!(on.is_err(), "vector code must trap on RV64GC");
+    let on = observe(&vec_bin, ExtSet::RV64GC, ExecMode::Engine);
+    let off = observe(&vec_bin, ExtSet::RV64GC, ExecMode::Reference);
+    assert!(on.result.is_err(), "vector code must trap on RV64GC");
     assert_eq!(on, off, "illegal-instruction trap diverged");
 
     // A jump into the (non-executable) data region: fetch fault.
@@ -132,9 +135,9 @@ fn traps_identical_cache_on_off() {
             jr t0
     ";
     let bin = chimera_obj::assemble(src, chimera_obj::AsmOptions::default()).unwrap();
-    let (on, _) = run_keeping_mem(&bin, ExtSet::RV64GCV, true);
-    let (off, _) = run_keeping_mem(&bin, ExtSet::RV64GCV, false);
-    assert!(on.is_err(), "fetch from data must fault");
+    let on = observe(&bin, ExtSet::RV64GCV, ExecMode::Engine);
+    let off = observe(&bin, ExtSet::RV64GCV, ExecMode::Reference);
+    assert!(on.result.is_err(), "fetch from data must fault");
     assert_eq!(on, off, "fetch-fault trap diverged");
 }
 
@@ -148,11 +151,17 @@ fn traps_identical_cache_on_off() {
 fn tracing_enabled_vs_disabled_identical_for_every_workload() {
     use chimera_kernel::Tracer;
     for (name, bin) in workloads() {
-        let baseline = chimera_emu::run_binary_with(&bin, ExtSet::RV64GCV, FUEL, true);
-        let disabled =
-            chimera_emu::run_binary_traced(&bin, ExtSet::RV64GCV, FUEL, true, &Tracer::disabled());
+        let traced = |tracer: &Tracer| {
+            let cfg = RunConfig {
+                tracer: tracer.clone(),
+                ..RunConfig::on(ExtSet::RV64GCV)
+            };
+            run_binary(&bin, FUEL, cfg)
+        };
+        let baseline = run_binary(&bin, FUEL, RunConfig::on(ExtSet::RV64GCV));
+        let disabled = traced(&Tracer::disabled());
         let tracer = Tracer::enabled();
-        let enabled = chimera_emu::run_binary_traced(&bin, ExtSet::RV64GCV, FUEL, true, &tracer);
+        let enabled = traced(&tracer);
         assert_eq!(baseline, disabled, "{name}: disabled tracer not inert");
         assert_eq!(baseline, enabled, "{name}: enabled tracer not transparent");
         assert!(
@@ -164,7 +173,7 @@ fn tracing_enabled_vs_disabled_identical_for_every_workload() {
     // The kernel path (SMILE recovery in the loop) is transparent too.
     let bin = hetero::matrix_task(8, 2, true);
     let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-    let kr = run_rewritten(&rw, true);
+    let kr = run_rewritten(&rw, ExecMode::Engine);
     let process = Process::new(vec![Variant {
         binary: rw.binary.clone(),
         tables: RuntimeTables {
@@ -426,7 +435,11 @@ fn random_programs_identical_across_modes() {
 fn cache_counters_engage() {
     let bin = hetero::fib_task(10, 3);
     let (mut cpu, mut mem) = chimera_emu::boot(&bin, ExtSet::RV64GCV);
-    assert!(cpu.cache.enabled, "cache must default to enabled");
+    assert_eq!(
+        cpu.mode(),
+        ExecMode::Engine,
+        "the engine must be the default"
+    );
     let _ = chimera_emu::run_cpu(&mut cpu, &mut mem, FUEL).unwrap();
     let s = cpu.cache.stats;
     assert!(s.blocks_built > 0, "no blocks built: {s:?}");
@@ -448,7 +461,6 @@ fn cache_counters_engage() {
 /// resume anywhere, any number of times, without any observable effect.
 #[test]
 fn slicing_and_forced_migration_are_transparent_in_every_mode() {
-    use chimera_emu::ExecMode;
     use chimera_testutil::observe_mode_sliced;
 
     let zoo = [
@@ -462,22 +474,22 @@ fn slicing_and_forced_migration_are_transparent_in_every_mode() {
     for (name, bin) in zoo {
         let m = run_all_modes(&bin, bin.profile, FUEL);
         let columns = [
-            (ExecMode::Reference, false, &m.reference.0),
-            (ExecMode::Interpreter, true, &m.interpreter.0),
-            (ExecMode::Engine, true, &m.engine.0),
-            (ExecMode::Jit, true, &m.jit.0),
+            (ExecMode::Reference, &m.reference.0),
+            (ExecMode::Interpreter, &m.interpreter.0),
+            (ExecMode::Engine, &m.engine.0),
+            (ExecMode::Jit, &m.jit.0),
         ];
-        for (mode, cache, unsliced) in columns {
+        for (mode, unsliced) in columns {
             // The torture slicing: one instruction per slice, hop to a
             // new OS thread every 64 slices.
-            let tortured = observe_mode_sliced(&bin, bin.profile, mode, cache, FUEL, 1, 64);
+            let tortured = observe_mode_sliced(&bin, bin.profile, mode, FUEL, 1, 64);
             assert_eq!(
                 &tortured, unsliced,
                 "{name} ({mode:?}): 1-instruction slicing diverged"
             );
             // A mid-size odd slice with frequent hops, to catch anything
             // only triggered by multi-instruction partial slices.
-            let mid = observe_mode_sliced(&bin, bin.profile, mode, cache, FUEL, 97, 3);
+            let mid = observe_mode_sliced(&bin, bin.profile, mode, FUEL, 97, 3);
             assert_eq!(
                 &mid, unsliced,
                 "{name} ({mode:?}): 97-instruction slicing diverged"

@@ -5,6 +5,7 @@ use chimera::{
     empty_patch_with, measure, prepare_process, run_variant, InputVersion, RewriterKind,
     SystemKind, TaskBinaries,
 };
+use chimera_emu::{run_binary, RunConfig};
 use chimera_isa::ExtSet;
 use chimera_workloads::blas::{gemv, Precision};
 use chimera_workloads::hetero::matrix_task;
@@ -24,9 +25,13 @@ fn all_four_systems_produce_identical_results() {
         base_version: Some(matrix_task(32, 3, false)),
         ext_version: Some(matrix_task(32, 3, true)),
     };
-    let reference = chimera_emu::run_binary(task.ext_version.as_ref().unwrap(), u64::MAX / 2)
-        .unwrap()
-        .exit_code;
+    let reference = run_binary(
+        task.ext_version.as_ref().unwrap(),
+        u64::MAX / 2,
+        RunConfig::default(),
+    )
+    .unwrap()
+    .exit_code;
 
     for system in [
         SystemKind::Fam,
@@ -75,7 +80,7 @@ fn all_rewriters_preserve_speclike_semantics() {
     // A small SPEC-like program through all four §6.2 rewriters (empty
     // patching on the vector core).
     let bin = generate(&SPEC_PROFILES[2], gen_opts()); // omnetpp-like.
-    let native = chimera_emu::run_binary(&bin, u64::MAX / 2).unwrap();
+    let native = run_binary(&bin, u64::MAX / 2, RunConfig::default()).unwrap();
     for rewriter in [
         RewriterKind::Chbp,
         RewriterKind::Strawman,
@@ -95,7 +100,7 @@ fn all_rewriters_preserve_speclike_semantics() {
 }
 
 fn overheads_for(bin: &chimera_obj::Binary) -> std::collections::HashMap<&'static str, f64> {
-    let native = chimera_emu::run_binary(bin, u64::MAX / 2).unwrap();
+    let native = run_binary(bin, u64::MAX / 2, RunConfig::default()).unwrap();
     let base = native.stats.cycles as f64;
     let mut out = std::collections::HashMap::new();
     for rewriter in [
@@ -154,7 +159,9 @@ fn rewriter_overhead_ordering_matches_fig13() {
 fn blas_kernels_through_chimera() {
     let v = gemv(16, 16, 0, 16, Precision::Double, true);
     let s = gemv(16, 16, 0, 16, Precision::Double, false);
-    let reference = chimera_emu::run_binary(&v, u64::MAX / 2).unwrap().exit_code;
+    let reference = run_binary(&v, u64::MAX / 2, RunConfig::default())
+        .unwrap()
+        .exit_code;
     let task = TaskBinaries {
         base_version: Some(s),
         ext_version: Some(v),
